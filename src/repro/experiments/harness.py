@@ -242,7 +242,11 @@ class GridRunner:
             if supports(intra)
             for nodes in self.node_counts
         ]
-        clusters = [self.cluster_factory(nodes) for *_rest, nodes in specs]
+        by_nodes = {
+            nodes: self.cluster_factory(nodes)
+            for nodes in dict.fromkeys(spec[3] for spec in specs)
+        }
+        clusters = [by_nodes[spec[3]] for spec in specs]
 
         cache = CellCache(self.cache_dir) if self.cache_dir else None
         cells: List[Optional[Cell]] = [None] * len(specs)

@@ -14,11 +14,19 @@ GridRunner` uses to exploit that:
   to a serial sweep, cell for cell (``wall_seconds``, which measures
   the host machine, is the only field that may differ).
 * :class:`CellCache` — an on-disk JSON cache keyed by a SHA-256 digest
-  of everything a cell's result depends on: the workload fingerprint
-  (name + cost bytes), the cluster spec, approach, inter/intra
-  techniques, node count, ppn and seed.  A second sweep over the same
-  inputs runs zero simulations; changing any input (a different seed, a
-  rescaled workload) changes the digest and misses cleanly.
+  of everything a cell's result depends on (:func:`cell_key`): the
+  workload fingerprint (name + cost bytes), the cluster spec, approach,
+  inter/intra techniques, node count, ppn, seed, the cost-model
+  override, the window placement, the fault-model signature, the dcc
+  flag, the default cost/noise model signature and the format version.
+  A second sweep over the same inputs runs zero simulations; changing
+  any input (a different seed, a rescaled workload) changes the digest
+  and misses cleanly.
+
+Index convention: a cell is sized by its node *count* and ``ppn`` ranks
+per node; no node index enters a key, and the only ranks in one are the
+global ranks named by an explicit placement map or a fault event.  Cost
+and fault times are in seconds, as everywhere in :mod:`repro.cluster`.
 
 In the spirit of the paper's distributed-chunk-calculation argument,
 this removes the serial coordinator from figure regeneration: work that
@@ -27,6 +35,7 @@ does not depend on other work does not wait for it.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -36,6 +45,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
+from json.encoder import encode_basestring_ascii as _quote
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -111,10 +121,10 @@ def cluster_signature(cluster: ClusterSpec) -> List:
 
 
 def placement_signature(placement: PlacementArg) -> object:
-    """JSON-friendly identity of a window-placement argument."""
+    """JSON-friendly, hashable identity of a window-placement argument."""
     if isinstance(placement, str):
         return placement
-    return sorted((repr(key), int(rank)) for key, rank in placement.items())
+    return tuple(sorted((repr(key), int(rank)) for key, rank in placement.items()))
 
 
 def model_signature() -> Dict[str, object]:
@@ -127,6 +137,33 @@ def model_signature() -> Dict[str, object]:
     remembering to bump ``CACHE_FORMAT_VERSION``.
     """
     return {"costs": asdict(DEFAULT_COSTS), "noise": asdict(MILD_NOISE)}
+
+
+_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
+@functools.lru_cache(maxsize=64)
+def _cluster_json(cluster: ClusterSpec) -> str:
+    return _dumps(cluster_signature(cluster))
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _sweep_json(workload_fp, ppn, seed, costs, placement, faults, dcc, models):
+    """The key fields that do not vary within a sweep, as the three runs
+    of ``"field":value`` pairs that sit between the per-cell fields in
+    sorted-key order.  Memoised by value (frozen dataclasses hash by
+    field); ``models`` is the ``(DEFAULT_COSTS, MILD_NOISE)`` pair that
+    :func:`model_signature` reads, so retuning a default misses here."""
+    def fields(**pairs: object) -> str:
+        return _dumps(pairs)[1:-1]
+
+    return (
+        fields(costs=None if costs is None else asdict(costs), dcc=dcc,
+               faults=None if faults is None else faults.signature()),
+        fields(models=model_signature()),
+        fields(placement=placement, ppn=ppn, seed=seed,
+               version=CACHE_FORMAT_VERSION, workload=workload_fp),
+    )
 
 
 def cell_key(
@@ -152,26 +189,19 @@ def cell_key(
     to ``None`` — both produce the fault-free event stream); ``dcc``
     reroutes mpi+mpi stacks through the distributed-chunk-calculation
     model (a different protocol, hence part of the key).
+
+    The payload is the sorted-key compact JSON of all inputs; only the
+    per-cell fields are encoded per call (strings quoted as ``json``
+    quotes them), the rest is spliced in.
     """
-    payload = json.dumps(
-        {
-            "version": CACHE_FORMAT_VERSION,
-            "workload": workload_fp,
-            "cluster": cluster_signature(cluster),
-            "models": model_signature(),
-            "approach": approach,
-            "inter": inter,
-            "intra": intra,
-            "nodes": nodes,
-            "ppn": ppn,
-            "seed": seed,
-            "costs": None if costs is None else asdict(costs),
-            "placement": placement_signature(placement),
-            "faults": None if faults is None else faults.signature(),
-            "dcc": bool(dcc),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
+    costs_dcc_faults, models, placement_to_workload = _sweep_json(
+        workload_fp, ppn, seed, costs, placement_signature(placement),
+        faults, bool(dcc), (DEFAULT_COSTS, MILD_NOISE),
+    )
+    payload = (
+        f'{{"approach":{_quote(approach)},"cluster":{_cluster_json(cluster)},'
+        f'{costs_dcc_faults},"inter":{_quote(inter)},"intra":{_quote(intra)},'
+        f'{models},"nodes":{nodes},{placement_to_workload}}}'
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
@@ -257,6 +287,8 @@ class CellCache:
             pass  # already gone (racing sweep) — nothing to preserve
 
     def get(self, key: str) -> Optional["Cell"]:
+        """The cached cell for ``key``, or None on a miss; a corrupt or
+        stale-format file counts as a miss and is quarantined."""
         from repro.experiments.harness import Cell
 
         try:
@@ -288,8 +320,9 @@ class CellCache:
         return return_value
 
     def put(self, key: str, cell: "Cell") -> None:
-        # Atomic publish: concurrent writers (parallel sweeps sharing a
-        # cache directory) each rename a complete temp file into place.
+        """Publish ``cell`` under ``key``: concurrent writers (parallel
+        sweeps sharing a cache directory) each rename a complete temp
+        file into place, so no reader ever sees a partial write."""
         payload = {"version": CACHE_FORMAT_VERSION, "key": key, "cell": cell.to_dict()}
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:

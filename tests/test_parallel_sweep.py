@@ -197,6 +197,33 @@ def test_cell_key_distinguishes_every_input(workload):
     assert len({base, *variants}) == len(variants) + 1
 
 
+def test_sweep_builds_each_cluster_once_per_node_count(workload, tmp_path):
+    calls = []
+
+    def spy_factory(nodes):
+        calls.append(nodes)
+        return minihpc(nodes, 4)
+
+    def run(cache_dir):
+        runner = GridRunner(
+            workload=workload, ppn=4, node_counts=(2, 4),
+            cluster_factory=spy_factory, cache_dir=str(cache_dir),
+        )
+        cells = runner.sweep("GSS", ("STATIC", "SS", "GSS"), APPROACHES)
+        return cells, runner.last_sweep_stats
+
+    cold, cold_stats = run(tmp_path)
+    assert sorted(calls) == [2, 4]
+    assert cold_stats["simulated"] == cold_stats["cells"] > 2
+    calls.clear()
+    warm, warm_stats = run(tmp_path)
+    assert sorted(calls) == [2, 4]
+    assert warm_stats["simulated"] == 0
+    assert len(warm) == len(cold)
+    for a, b in zip(cold, warm):
+        assert a.same_result(b)
+
+
 def test_cell_cache_len_and_version_guard(workload, tmp_path):
     cache = CellCache(str(tmp_path))
     assert len(cache) == 0

@@ -57,7 +57,9 @@ TINY_SWEEP = {
 @pytest.fixture()
 def server(tmp_path):
     srv = create_server(port=0, jobs=2, cache_dir=str(tmp_path / "cache"), quiet=True)
-    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread = threading.Thread(
+        target=srv.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
     thread.start()
     yield srv
     srv.shutdown()

@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Docstring-check the ``repro.cluster`` machine-model modules.
+"""Docstring-check the ``repro.cluster`` machine-model modules and the
+engine and cell-cache modules listed in ``CHECKED_MODULES``.
 
 The cluster layer is the package's public vocabulary for hardware,
 costs and placement, so its API documentation must not rot.  This
@@ -41,6 +42,7 @@ CHECKED_MODULES = [
     "src/repro/cluster/noise.py",
     "src/repro/cluster/placement_opt.py",
     "src/repro/cluster/topology.py",
+    "src/repro/experiments/parallel.py",
     "src/repro/models/dcc.py",
     "src/repro/sim/cohorts.py",
 ]
