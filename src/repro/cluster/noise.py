@@ -19,8 +19,12 @@ models own the rank mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.engine import Simulator
 
 
 @dataclass(frozen=True)
@@ -51,10 +55,40 @@ class NoiseModel:
         return np.exp(rng.normal(0.0, self.per_core_sigma, size=n_cores))
 
     def chunk_jitter(self, rng: np.random.Generator) -> float:
-        """Multiplicative factor applied to one chunk's execution time."""
+        """Multiplicative factor applied to one chunk's execution time.
+
+        The scalar definition of one draw; runs take the same values in
+        blocks through :meth:`jitter_source`.
+        """
         if self.jitter_sigma <= 0.0:
             return 1.0
         return float(np.exp(rng.normal(0.0, self.jitter_sigma)))
+
+    def jitter_source(self, sim: "Simulator") -> Optional[Callable[[], float]]:
+        """Per-chunk jitter factors of one run, in draw order.
+
+        Each call of the returned function yields the multiplicative
+        factor for the next executed chunk, drawn from the simulator's
+        buffered ``chunk-jitter.<seed_tag>`` stream.  None when
+        ``jitter_sigma`` is zero: the factor is then exactly 1 and the
+        stream is never created.
+        """
+        if self.jitter_sigma <= 0.0:
+            return None
+        return sim.stream(
+            f"chunk-jitter.{self.seed_tag}", jitter_block, self.jitter_sigma
+        )
+
+
+def jitter_block(rng: np.random.Generator, sigma: float, size: int) -> np.ndarray:
+    """``size`` log-normal factors ``exp(normal(0, sigma))``.
+
+    Equal element by element to ``size`` successive scalar draws
+    ``float(np.exp(rng.normal(0.0, sigma)))``.  The block is
+    exponentiated with ``np.exp``, never ``math.exp``: the two differ
+    in the last ulp for some arguments.
+    """
+    return np.exp(rng.normal(0.0, sigma, size))
 
 
 #: No perturbation at all — bit-exact analytic schedules (used heavily in tests).

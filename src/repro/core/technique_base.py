@@ -63,7 +63,10 @@ class IterationProfile:
 #: ``(technique, n, p, parameters)`` tuple recurs for every cell of a
 #: figure sweep (every rank of every run derives the identical schedule),
 #: so the recurrence is unrolled once per distinct key, process-wide.
-_SEQUENCE_CACHE: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+#: Entries are ``(sizes, prefix, sizes list, prefix list)``: the arrays
+#: serve vector queries, their plain-Python twins the per-chunk scalar
+#: reads of ``size_at`` / ``start_at``.
+_SEQUENCE_CACHE: Dict[tuple, Tuple[np.ndarray, np.ndarray, List[int], List[int]]] = {}
 _SEQUENCE_CACHE_MAX = 512
 
 
@@ -106,9 +109,12 @@ class ChunkCalculator:
         self.name = name
         self.n = int(n)
         self.p = int(p)
-        #: materialised serial sequence + prefix sums (deterministic only)
+        #: materialised serial sequence + prefix sums (deterministic
+        #: only), as arrays and as plain-Python list twins
         self._sizes_arr: Optional[np.ndarray] = None
         self._prefix_arr: Optional[np.ndarray] = None
+        self._sizes: Optional[List[int]] = None
+        self._starts: Optional[List[int]] = None
 
     # -- recurrence ----------------------------------------------------
     def _next_size(self, remaining: int, step: int) -> int:
@@ -131,7 +137,7 @@ class ChunkCalculator:
         if key is not None:
             cached = _SEQUENCE_CACHE.get(key)
             if cached is not None:
-                self._sizes_arr, self._prefix_arr = cached
+                self._sizes_arr, self._prefix_arr, self._sizes, self._starts = cached
                 return self._sizes_arr
         sizes: List[int] = []
         total = 0
@@ -144,12 +150,12 @@ class ChunkCalculator:
             total += size
         sizes_arr = np.asarray(sizes, dtype=np.int64)
         prefix_arr = np.concatenate(([0], np.cumsum(sizes_arr)))
-        self._sizes_arr = sizes_arr
-        self._prefix_arr = prefix_arr
+        entry = (sizes_arr, prefix_arr, sizes, prefix_arr.tolist())
+        self._sizes_arr, self._prefix_arr, self._sizes, self._starts = entry
         if key is not None:
             if len(_SEQUENCE_CACHE) >= _SEQUENCE_CACHE_MAX:
                 _SEQUENCE_CACHE.clear()
-            _SEQUENCE_CACHE[key] = (sizes_arr, prefix_arr)
+            _SEQUENCE_CACHE[key] = entry
         return sizes_arr
 
     # -- public API ------------------------------------------------------
@@ -161,11 +167,12 @@ class ChunkCalculator:
         """
         if step < 0:
             raise TechniqueError(f"negative scheduling step {step}")
-        sizes = self._sizes_arr
+        sizes = self._sizes
         if sizes is None:
-            sizes = self._materialize()
-        if step < sizes.size:
-            return int(sizes[step])
+            self._materialize()
+            sizes = self._sizes
+        if step < len(sizes):
+            return sizes[step]
         return 0
 
     def start_at(self, step: int) -> int:
@@ -179,10 +186,10 @@ class ChunkCalculator:
             raise TechniqueError(
                 f"{self.name} is adaptive/PE-dependent; start_at() is undefined"
             )
-        if self._sizes_arr is None:
+        if self._starts is None:
             self._materialize()
-        if step < self._sizes_arr.size:
-            return int(self._prefix_arr[step])
+        if step < len(self._sizes):
+            return self._starts[step]
         return self.n
 
     def step_of(self, iteration: int) -> int:

@@ -100,9 +100,12 @@ def simulate_cell(
     ``dcc`` reroutes mpi+mpi stacks through the
     distributed-chunk-calculation model — all default to the
     historical behaviour, so pre-existing sweeps are untouched.
-    ``engine`` selects the execution engine ("scalar" | "cohort");
-    eligible cohort cells produce bit-identical results faster, so the
-    choice deliberately does not enter the cell cache key.
+    ``engine`` selects the execution engine ("scalar" | "cohort").  It
+    deliberately does not enter the cell cache key: every sweep cell
+    runs under the default ``MILD_NOISE``, which the cohort engine does
+    not condense, so a cohort cell falls back to the scalar path
+    whole-run and returns the identical cell, ``n_events`` included
+    (pinned by ``tests/test_parallel_sweep.py``).
     """
     t0 = time.perf_counter()
     result: RunResult = run_hierarchical(
@@ -177,9 +180,10 @@ class GridRunner:
     #: reroute every mpi+mpi cell through the distributed-chunk-
     #: calculation model (same composed schedule, single global counter)
     dcc: bool = False
-    #: execution engine for every cell ("scalar" | "cohort"); cohort
-    #: batches rank-symmetric events and is bit-identical on eligible
-    #: cells, so it shares the scalar cell cache (not part of cell_key)
+    #: execution engine for every cell ("scalar" | "cohort"); not part
+    #: of cell_key: sweep cells carry the default MILD_NOISE, which makes
+    #: every cell cohort-ineligible, so a cohort sweep falls back to the
+    #: scalar path cell by cell and shares the scalar cell cache
     engine: str = "scalar"
     #: filled by :meth:`sweep`: {"cells", "simulated", "cache_hits"}
     last_sweep_stats: Dict[str, int] = field(default_factory=dict, repr=False)

@@ -7,6 +7,12 @@ core noise), jittered execution times, and a uniform
 chunk-calculation approach (deterministic step counter vs adaptive
 scheduled-count, and pinned STATIC) live here because every model needs
 them.
+
+Conventions: times and costs are simulated seconds.  Workers are MPI
+ranks numbered node-major, ``rank = node * ppn + core``; per-core
+tables (speeds, fault factors) use that index.  The inter-node level
+of a hierarchical model hands chunks to PEs identified by node index;
+the flat baselines schedule ranks directly.
 """
 
 from __future__ import annotations
@@ -64,9 +70,11 @@ class RunResult:
 
     @property
     def workers(self) -> int:
+        """Number of workers that reported statistics."""
         return self.metrics and len(self.metrics.workers)
 
     def describe(self) -> str:
+        """One-line summary: approach, stack, workload, size and time."""
         return (
             f"{self.approach:<12} {self.spec_label:<14} {self.workload:<18} "
             f"nodes={self.n_nodes:<3} ppn={self.ppn:<3} "
@@ -213,8 +221,10 @@ class _Run:
         rng = self.sim.rng(f"core-noise.{noise.seed_tag}")
         per_core = noise.core_factor(rng, cluster.n_nodes * self.ppn)
         nominal = np.repeat([n.core_speed for n in cluster.nodes], self.ppn)
-        self.core_speed = nominal * per_core  # indexed by node * ppn + core
-        self._jitter_rng = self.sim.rng(f"chunk-jitter.{noise.seed_tag}")
+        #: effective core speeds, indexed by ``node * ppn + core``
+        self.core_speed: List[float] = (nominal * per_core).tolist()
+        #: next chunk-jitter factor, or None without jitter (factor 1)
+        self._next_jitter = noise.jitter_source(self.sim)
         # recorded outcomes
         self.chunks: List[Chunk] = []
         self.subchunks: List[Chunk] = []
@@ -227,6 +237,8 @@ class _Run:
         self.worker_stats: List[WorkerStats] = []
         self.counters: Dict[str, Any] = {}
         self.executed_iterations = 0
+        #: the workload's plain-Python prefix sums (``n + 1`` entries)
+        self._cost_prefix: List[float] = workload.cost_prefix()
         # -- failure-aware scheduling state (inert when faults_active
         # is False: nothing below is ever consulted) ------------------
         #: claims ledger: rank -> list of in-flight (step, start, size)
@@ -259,14 +271,23 @@ class _Run:
             self._pending_stalls = {}
 
     # -- timing helpers --------------------------------------------------
-    def speed_of(self, node: int, core: int) -> float:
-        return float(self.core_speed[node * self.ppn + core])
-
     def exec_time(self, start: int, size: int, node: int, core: int) -> float:
-        """Simulated duration of iterations [start, start+size) on a core."""
-        nominal = self.workload.block_cost(start, size)
-        jitter = self.noise.chunk_jitter(self._jitter_rng)
-        duration = nominal * jitter / self.speed_of(node, core)
+        """Simulated duration of iterations [start, start+size) on a core.
+
+        The per-chunk hot path: nominal cost from the workload's
+        plain-Python prefix sums, one factor from the buffered jitter
+        stream, and the core's speed — no NumPy scalar arithmetic.
+        Out-of-range blocks raise :meth:`Workload.block_cost`'s
+        ``IndexError``.
+        """
+        prefix = self._cost_prefix
+        end = start + size
+        if size < 0 or start < 0 or end >= len(prefix):
+            self.workload.block_cost(start, size)  # raises IndexError
+        nominal = prefix[end] - prefix[start]
+        if self._next_jitter is not None:
+            nominal *= self._next_jitter()
+        duration = nominal / self.core_speed[node * self.ppn + core]
         if self.faults_active:
             # Fault factors apply *after* the jitter draw so the RNG
             # stream consumption (and thus every other rank's noise) is

@@ -7,7 +7,7 @@ thousand ranks.  This module provides the ``engine="cohort"``
 execution path: rank-symmetric spans of the event stream are condensed
 into *macro events* on a :class:`~repro.sim.engine.CohortLane`, and
 ranks whose futures are symmetric advance together as **cohorts** —
-NumPy-backed groups that split lazily only at divergence points (lock
+groups that split lazily only at divergence points (lock
 contention winners vs losers, the serialised global-atomic FIFO,
 chunk-dependent compute durations).  Times are simulated seconds
 throughout; all indices are MPI ranks unless a name says node.
@@ -47,8 +47,9 @@ The split points in the fast path
 * **lock contention** — a tier group's ranks poll their shared
   window's lock; the winner splits off into the critical section while
   the losers stay a polling cohort whose jittered retries are
-  fast-forwarded arithmetically (batched RNG draws, consumed in the
-  per-window chronological order the scalar engine would use);
+  fast-forwarded arithmetically (waits from the window's buffered
+  poll-wait stream, consumed in the per-window chronological order the
+  scalar engine would use);
 * **global-queue serialisation** — refills queue on the RMA window's
   hidden FIFO unit; service is resolved in arrival order with plain
   arithmetic instead of generator resumes;
@@ -62,50 +63,9 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.cluster.interconnect import Tier
 from repro.sim.engine import CohortLane
 
 __all__ = ["cohort_blockers", "execute_cohort"]
-
-
-#: batch size for pre-drawn lock-poll jitter factors.  Batched
-#: ``Generator.uniform`` draws are bit-identical to the same number of
-#: sequential scalar draws (pinned by the property suite), so buffering
-#: only amortises RNG call overhead — it cannot change a single value.
-_JITTER_BATCH = 256
-
-
-class _JitterBuffer:
-    """Batched view of one shared window's lock-poll jitter stream.
-
-    Draws ``uniform(0.5, 1.5)`` factors in blocks and hands them out
-    one at a time, preserving the exact values (and generator state) of
-    sequential scalar draws.
-    """
-
-    __slots__ = ("_rng", "_buf", "_idx")
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        #: starts empty (not None) so exhaustion is always an IndexError
-        self._buf: list = []
-        self._idx = 0
-
-    def next(self) -> float:
-        """The next jitter factor, bit-identical to a scalar draw."""
-        buf = self._buf
-        if self._idx >= len(buf):
-            # ``tolist`` converts to native floats (exact doubles) so
-            # the hot loop never pays np.float64 arithmetic.
-            buf = self._buf = self._rng.uniform(
-                0.5, 1.5, size=_JITTER_BATCH
-            ).tolist()
-            self._idx = 0
-        value = buf[self._idx]
-        self._idx += 1
-        return value
 
 
 class _Rank:
@@ -192,12 +152,11 @@ class _NodeLock:
     engine sees.)
     """
 
-    __slots__ = ("key", "shm", "jitter", "heap", "holder", "version", "check_time")
+    __slots__ = ("key", "shm", "heap", "holder", "version", "check_time")
 
-    def __init__(self, key, shm, jitter: _JitterBuffer):
+    def __init__(self, key, shm):
         self.key = key
         self.shm = shm
-        self.jitter = jitter
         self.heap: List[Tuple[float, Any]] = []
         self.holder: Optional[_Rank] = None
         #: invalidates superseded CHECK macros (lazy cancellation)
@@ -261,7 +220,7 @@ def cohort_blockers(model, run) -> List[str]:
             blockers.append(f"min_chunk={level.min_chunk} at level {index}")
     if run.noise.per_core_sigma > 0.0 or run.noise.jitter_sigma > 0.0:
         blockers.append("execution-time noise (per-core scatter / chunk jitter)")
-    if not bool(np.all(run.core_speed == run.core_speed[0])):
+    if min(run.core_speed) != max(run.core_speed):
         blockers.append("heterogeneous core speeds")
     if run.faults_active:
         blockers.append("active fault model")
@@ -308,24 +267,6 @@ def execute_cohort(model, run) -> None:
 # ---------------------------------------------------------------------------
 # shared machinery
 # ---------------------------------------------------------------------------
-
-
-def _atomic_profile(world, host_rank: int, rank: int) -> Tuple[float, float, bool]:
-    """``(latency, processing, remote)`` of one rank's priced atomic.
-
-    Mirrors :meth:`repro.smpi.rma.Window._priced_atomic` with the
-    zero-penalty knobs eligibility guarantees: network-remote origins
-    pay ``network_latency`` seconds each way plus ``rma_atomic``
-    processing; everyone else pays ``shm_atomic``.
-    """
-    mpi = world.costs.mpi
-    tier = world.interconnect.distance(rank, host_rank)
-    remote = tier is Tier.NETWORK
-    latency = world.cluster.network_latency if remote else 0.0
-    processing = (mpi.rma_atomic if remote else mpi.shm_atomic) + (
-        mpi.tier_atomic_penalty(tier)
-    )
-    return latency, processing, remote
 
 
 def _commit_atomic(window, remote: bool, processing: float, latency: float) -> int:
@@ -387,11 +328,10 @@ def _run_counter_loop(run, world, window, ranks, resolve, on_chunk, on_done) -> 
     """
     lane = CohortLane()
     fifo = _GlobalFifo()
-    host = 0
-    profiles: Dict[int, Tuple[float, float, bool]] = {}
-    for node in range(run.cluster.n_nodes):
-        rank0 = node * run.ppn
-        profiles[node] = _atomic_profile(world, host, rank0)
+    profiles = {
+        node: window.price_of(node * run.ppn)[:3]
+        for node in range(run.cluster.n_nodes)
+    }
     cc = run.costs.chunk_calc
     macros = 0
 
@@ -576,7 +516,6 @@ def _run_depth2(model, run) -> None:
     U = mpi.shm_unlock
     S = mpi.shm_win_sync
     CC = run.costs.chunk_calc
-    POLL = mpi.shm_poll_interval
 
     lane = CohortLane()
     fifo = _GlobalFifo()
@@ -584,9 +523,8 @@ def _run_depth2(model, run) -> None:
     locks: Dict[int, _NodeLock] = {}
     profiles: Dict[int, Tuple[float, float, bool]] = {}
     for node in range(n_nodes):
-        shm = local_queues[node].shm
-        locks[node] = _NodeLock(node, shm, _JitterBuffer(shm._rng))
-        profiles[node] = _atomic_profile(world, 0, node * run.ppn)
+        locks[node] = _NodeLock(node, local_queues[node].shm)
+        profiles[node] = queue.window.price_of(node * run.ppn)[:3]
     finish: Dict[int, float] = {}
     chunks: Dict[int, int] = {}
     iters: Dict[int, int] = {}
@@ -607,7 +545,8 @@ def _run_depth2(model, run) -> None:
         attempts (chronological per-window order), then schedule the
         winner check at the first strictly-later attempt."""
         # The hottest loop in the engine (tens of millions of deferred
-        # attempts at 64k ranks): locals, an inlined EAFP jitter buffer,
+        # attempts at 64k ranks): locals, the window's own buffered
+        # poll-wait stream (the values the scalar poller would draw),
         # two-element heap entries and a hoisted emptiness check cut the
         # per-attempt cost without touching a single accrual order.
         # heapreplace keeps the heap size invariant, so `heap` truthiness
@@ -615,8 +554,7 @@ def _run_depth2(model, run) -> None:
         heap = nl.heap
         shm = nl.shm
         replace = heapq.heapreplace
-        jitter = nl.jitter
-        buf, idx = jitter._buf, jitter._idx
+        next_wait = shm.next_poll_wait
         poll_wait = shm.total_poll_wait
         if heap:
             while True:
@@ -624,20 +562,11 @@ def _run_depth2(model, run) -> None:
                 if attempt > released:
                     break
                 state.attempts += 1
-                try:
-                    wait = POLL * buf[idx]
-                except IndexError:
-                    buf = jitter._buf = jitter._rng.uniform(
-                        0.5, 1.5, size=_JITTER_BATCH
-                    ).tolist()
-                    idx = 0
-                    wait = POLL * buf[0]
-                idx += 1
+                wait = next_wait()
                 poll_wait += wait
                 state.overhead_time += A
                 state.overhead_time += wait
                 replace(heap, (attempt + wait + A, state))
-        jitter._idx = idx
         shm.total_poll_wait = poll_wait
         nl.holder = None
         if heap:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from itertools import count
+from itertools import chain, count
 from math import inf as _INF
 from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional, Tuple
 
@@ -61,6 +61,9 @@ _COMMAND_KINDS: Dict[type, int] = {
     Halt: _KIND_HALT,
 }
 
+
+#: values drawn per refill of a buffered stream (see :meth:`Simulator.stream`)
+STREAM_BLOCK = 256
 
 #: sentinel returned by ``Simulator._interpret_uncommon`` when the
 #: process blocked (scheduled a future resume) instead of continuing.
@@ -247,6 +250,8 @@ class Simulator:
         self._seq = count(1)
         self.seed = int(seed)
         self._rngs: Dict[str, np.random.Generator] = {}
+        #: buffered streams: name -> (draw, params, next-value function)
+        self._streams: Dict[str, Tuple[Callable, tuple, Callable[[], float]]] = {}
         self.processes: List[Process] = []
         self._halted: Optional[str] = None
         self.trace = trace
@@ -273,10 +278,54 @@ class Simulator:
         """
         gen = self._rngs.get(stream)
         if gen is None:
-            ss = np.random.SeedSequence(self.seed, spawn_key=(_stable_hash(stream),))
-            gen = np.random.default_rng(ss)
-            self._rngs[stream] = gen
+            if stream in self._streams:
+                raise ValueError(
+                    f"stream {stream!r} is buffered; draw it through stream()"
+                )
+            gen = self._rngs[stream] = self._new_rng(stream)
         return gen
+
+    def stream(
+        self, name: str, draw: Callable[..., np.ndarray], *params: Any
+    ) -> Callable[[], float]:
+        """The next-value function of the named stream, drawn in blocks.
+
+        ``draw(rng, *params, size)`` must return ``size`` values equal,
+        element by element, to ``size`` successive scalar draws of the
+        same kind (NumPy's ``Generator`` methods fill arrays with the
+        scalar sampler in order).  Values are handed out as Python
+        floats from blocks of :data:`STREAM_BLOCK`, which takes the
+        per-draw NumPy call off hot paths without changing one value.
+
+        Every request for ``name`` returns the same function, so
+        consumers that share a stream see its sequential values in
+        consumption order.  A stream is either buffered or raw:
+        :meth:`rng` refuses a buffered name (its generator runs ahead of
+        what was consumed), and so does a second request for ``name``
+        with another ``draw`` or other ``params``.
+        """
+        entry = self._streams.get(name)
+        if entry is None:
+            if name in self._rngs:
+                raise ValueError(
+                    f"stream {name!r} is already drawn unbuffered through rng()"
+                )
+            gen = self._new_rng(name)
+
+            def block() -> List[float]:
+                return draw(gen, *params, STREAM_BLOCK).tolist()
+
+            values = chain.from_iterable(iter(block, None))
+            entry = self._streams[name] = (draw, params, values.__next__)
+        elif entry[0] is not draw or entry[1] != params:
+            raise ValueError(
+                f"stream {name!r} is already buffered with another draw"
+            )
+        return entry[2]
+
+    def _new_rng(self, stream: str) -> np.random.Generator:
+        ss = np.random.SeedSequence(self.seed, spawn_key=(_stable_hash(stream),))
+        return np.random.default_rng(ss)
 
     def event(self, name: str = "") -> SimEvent:
         """Create an event bound to this simulator."""

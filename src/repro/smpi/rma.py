@@ -17,19 +17,28 @@ contention (all ranks hammering the step counter) this produces the
 realistic queueing delay that motivates the paper's *hierarchical*
 design in the first place — the local queue absorbs most of the
 traffic.
+
+Conventions: latencies, processing times and penalties are simulated
+seconds.  Origins are MPI ranks; each rank's atomic is priced once
+from its tier to the host rank and reused until
+:meth:`Window.fail_over` re-hosts the window.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.cluster.interconnect import Tier
-from repro.sim.primitives import Overhead
+from repro.sim.primitives import Delay, Overhead
 from repro.sim.resources import Lock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.smpi.world import MpiWorld, RankCtx
 
+
+#: one origin's priced atomic: (latency, processing, remote, latency
+#: delay or None when local, processing delay); seconds
+_Prices = Tuple[float, float, bool, Optional[Delay], Delay]
 
 _OPS = {
     "sum": lambda old, value: old + value,
@@ -51,6 +60,8 @@ class Window:
         self.host_node = world.placement.node_of(host_rank)
         self.cells: Dict[str, int] = dict(cells)
         self._unit = Lock(world.sim, name=f"win@{host_rank}.atomic-unit")
+        #: per-rank price memo (see :meth:`price_of`)
+        self._prices: Dict[int, _Prices] = {}
         # statistics
         self.n_atomics = 0
         self.n_remote_atomics = 0
@@ -76,7 +87,36 @@ class Window:
             raise ValueError(f"invalid failover host rank {new_host}")
         self.host_rank = new_host
         self.host_node = self.world.placement.node_of(new_host)
+        self._prices.clear()
         self.n_failovers += 1
+
+    def price_of(self, rank: int) -> _Prices:
+        """One atomic from ``rank``, priced once per host (memoised).
+
+        Returns ``(latency, processing, remote, latency delay,
+        processing delay)``.  A network-remote origin pays ``latency``
+        seconds each way (the delay is None for a local origin) plus
+        ``rma_atomic`` processing at the target; any other origin pays
+        ``shm_atomic``.  Processing adds the locality-tier atomic
+        penalty of the origin's distance to the host (zero by default).
+        """
+        prices = self._prices.get(rank)
+        if prices is None:
+            mpi = self.world.costs.mpi
+            tier = self.world.interconnect.distance(rank, self.host_rank)
+            remote = tier is Tier.NETWORK
+            latency = self.world.cluster.network_latency if remote else 0.0
+            processing = (
+                mpi.rma_atomic if remote else mpi.shm_atomic
+            ) + mpi.tier_atomic_penalty(tier)
+            prices = self._prices[rank] = (
+                latency,
+                processing,
+                remote,
+                Overhead(latency) if latency else None,
+                Overhead(processing),
+            )
+        return prices
 
     def _check_cell(self, cell: str) -> None:
         if cell not in self.cells:
@@ -105,19 +145,14 @@ class Window:
         the result is in flight has still registered the side effect
         (failure-aware layers use this for their claims ledger).
         """
-        mpi = self.world.costs.mpi
-        tier = self.world.interconnect.distance(ctx.rank, self.host_rank)
-        remote = tier is Tier.NETWORK
-        latency = self.world.cluster.network_latency if remote else 0.0
-        processing = (
-            mpi.rma_atomic if remote else mpi.shm_atomic
-        ) + mpi.tier_atomic_penalty(tier)
-
-        if latency:
-            yield Overhead(latency)
-        yield from self._unit.acquire(owner=f"rank{ctx.rank}")
+        latency, processing, remote, latency_delay, processing_delay = (
+            self.price_of(ctx.rank)
+        )
+        if latency_delay is not None:
+            yield latency_delay
+        yield from self._unit.acquire(owner=ctx.owner)
         try:
-            yield Overhead(processing)
+            yield processing_delay
             old = mutate()
             self.n_atomics += 1
             if remote:
@@ -127,8 +162,8 @@ class Window:
                 on_commit(old)
         finally:
             self._unit.release()
-        if latency:
-            yield Overhead(latency)
+        if latency_delay is not None:
+            yield latency_delay
         return old
 
     def fetch_and_op(

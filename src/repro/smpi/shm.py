@@ -17,17 +17,40 @@ MPI+MPI approach while coarse ones are unaffected.
 
 The window tracks contention statistics (attempts, acquisitions, poll
 wait time) that the benchmarks report and the ablation sweeps.
+
+Conventions: every cost, wait and penalty is in simulated seconds.
+Each rank's delays on a window are priced once from its locality tier
+to the window's home and reused until :meth:`SharedWindow.fail_over`
+re-homes the window; lock-poll waits come from the simulator's buffered
+``shm-lockpoll.node<key>`` stream.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
-from repro.sim.primitives import Overhead, OverheadOnce
+import numpy as np
+
+from repro.sim.primitives import Delay, Overhead, OverheadOnce
 from repro.sim.resources import Lock
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.smpi.world import MpiWorld, RankCtx
+
+#: one rank's priced costs on one window: (lock-attempt delay, unlock
+#: delay, per-access seconds, load penalty, atomic penalty), seconds
+_Prices = Tuple[Delay, Delay, float, float, float]
+
+
+def poll_wait_block(
+    rng: np.random.Generator, interval: float, size: int
+) -> np.ndarray:
+    """``size`` lock-poll waits ``interval * uniform(0.5, 1.5)`` (seconds).
+
+    Equal element by element to ``size`` successive scalar draws
+    ``interval * float(rng.uniform(0.5, 1.5))``.
+    """
+    return interval * rng.uniform(0.5, 1.5, size)
 
 
 class SharedWindow:
@@ -66,7 +89,13 @@ class SharedWindow:
             else "-".join(str(part) for part in node)
         )
         self._lock = Lock(world.sim, name=f"shmwin@node{tag}")
-        self._rng = world.sim.rng(f"shm-lockpoll.node{tag}")
+        #: next jittered lock-poll wait (seconds) of this window's stream
+        self.next_poll_wait = world.sim.stream(
+            f"shm-lockpoll.node{tag}",
+            poll_wait_block,
+            world.costs.mpi.shm_poll_interval,
+        )
+        self._sync = Overhead(world.costs.mpi.shm_win_sync)
         #: rank whose NUMA domain physically hosts the window's pages.
         #: Default: the lowest rank of the tier group the key names
         #: (first-touch allocation by the group leader); a placement
@@ -77,9 +106,9 @@ class SharedWindow:
         self.home_rank: Optional[int] = (
             home_rank if home_rank is not None else self._home_of(world, node)
         )
-        #: per-rank (load, atomic) penalty memo — the tier of a
-        #: (rank, window) pair never changes during a run
-        self._penalties: Dict[int, Tuple[float, float]] = {}
+        #: per-rank price memo — the tier of a (rank, window) pair
+        #: changes only when :meth:`fail_over` re-homes the window
+        self._prices: Dict[int, _Prices] = {}
         # statistics
         self.n_acquisitions = 0
         self.n_attempts = 0
@@ -113,20 +142,36 @@ class SharedWindow:
             return None
         return members[0] if members else None
 
-    def _penalty_of(self, ctx: "RankCtx") -> Tuple[float, float]:
-        """(load, atomic) locality penalty for ``ctx`` on this window."""
-        cached = self._penalties.get(ctx.rank)
-        if cached is None:
+    def _prices_of(self, rank: int) -> _Prices:
+        """``rank``'s priced costs on this window (memoised).
+
+        Lock attempts and unlocks are messages to the window's home
+        NUMA domain and pay the atomic penalty; loads, stores and
+        accesses pay the load penalty.  Both are zero for free-form
+        keys and with default knobs.
+        """
+        prices = self._prices.get(rank)
+        if prices is None:
             if self.home_rank is None:
-                cached = (0.0, 0.0)
+                load_penalty = atomic_penalty = 0.0
             else:
                 net = self.world.interconnect
-                cached = (
-                    net.load_penalty(ctx.rank, self.home_rank),
-                    net.atomic_penalty(ctx.rank, self.home_rank),
-                )
-            self._penalties[ctx.rank] = cached
-        return cached
+                load_penalty = net.load_penalty(rank, self.home_rank)
+                atomic_penalty = net.atomic_penalty(rank, self.home_rank)
+            mpi = self.world.costs.mpi
+            prices = self._prices[rank] = (
+                Overhead(mpi.shm_lock_attempt + atomic_penalty),
+                Overhead(mpi.shm_unlock + atomic_penalty),
+                mpi.shm_access + load_penalty,
+                load_penalty,
+                atomic_penalty,
+            )
+        return prices
+
+    def _penalty_of(self, ctx: "RankCtx") -> Tuple[float, float]:
+        """(load, atomic) locality penalty for ``ctx`` on this window."""
+        prices = self._prices_of(ctx.rank)
+        return prices[3], prices[4]
 
     # ------------------------------------------------------------------
     # locking (the expensive part)
@@ -139,18 +184,18 @@ class SharedWindow:
         not stay phase-locked forever).  Polling time is accounted as
         *overhead* — the CPU is busy re-issuing attempts.
         """
-        mpi = self.world.costs.mpi
-        owner = f"rank{ctx.rank}"
+        owner = ctx.owner
         # each lock-attempt message travels to the window's home NUMA
         # domain, so remote-NUMA/cross-socket requesters pay the tier
         # penalty per attempt (zero with default knobs)
-        atomic_penalty = self._penalty_of(ctx)[1]
-        attempt_cost = mpi.shm_lock_attempt + atomic_penalty
+        prices = self._prices_of(ctx.rank)
+        attempt = prices[0]
+        atomic_penalty = prices[4]
         attempts = 0
         while True:
             attempts += 1
             self.total_penalty_s += atomic_penalty
-            yield Overhead(attempt_cost)
+            yield attempt
             if self._lock.try_acquire(owner):
                 break
             faults = self.world.faults
@@ -166,7 +211,7 @@ class SharedWindow:
                     self._lock.force_release()
                     self.n_leases_broken += 1
                 continue
-            wait = mpi.shm_poll_interval * float(self._rng.uniform(0.5, 1.5))
+            wait = self.next_poll_wait()
             self.total_poll_wait += wait
             yield OverheadOnce(wait)  # jittered: unique per retry, skip interning
         self.n_attempts += attempts
@@ -176,15 +221,15 @@ class SharedWindow:
     def unlock(self, ctx: "RankCtx"):
         """``MPI_Win_unlock`` (epoch close: one more message home)."""
         self._require_held(ctx)
-        penalty = self._penalty_of(ctx)[1]
-        self.total_penalty_s += penalty
-        yield Overhead(self.world.costs.mpi.shm_unlock + penalty)
+        prices = self._prices_of(ctx.rank)
+        self.total_penalty_s += prices[4]
+        yield prices[1]
         self._lock.release()
 
     def sync(self, ctx: "RankCtx"):
         """``MPI_Win_sync`` memory barrier."""
         self.n_syncs += 1
-        yield Overhead(self.world.costs.mpi.shm_win_sync)
+        yield self._sync
 
     def _owner_is_dead(self) -> bool:
         """True when the lock is held by a crash-stopped rank."""
@@ -207,11 +252,12 @@ class SharedWindow:
         the fault injector, not here.
         """
         self.home_rank = new_home
-        self._penalties.clear()
+        self._prices.clear()
         self.n_failovers += 1
 
     @property
     def locked(self) -> bool:
+        """Whether some rank holds the exclusive window lock."""
         return self._lock.locked
 
     def _require_held(self, ctx: "RankCtx") -> None:
@@ -226,7 +272,7 @@ class SharedWindow:
                 f"shared window on node {self.node} accessed without holding "
                 "MPI_Win_lock — this is a data race"
             )
-        owner = f"rank{ctx.rank}"
+        owner = ctx.owner
         if self._lock.owner != owner:
             raise RuntimeError(
                 f"shared window on node {self.node} accessed by {owner} while "
@@ -240,18 +286,18 @@ class SharedWindow:
         """Read one named cell (generator; requires the calling rank's lock)."""
         self._require_held(ctx)
         self._check_cell(cell)
-        penalty = self._penalty_of(ctx)[0]
-        self.total_penalty_s += penalty
-        yield Overhead(self.world.costs.mpi.shm_access + penalty)
+        prices = self._prices_of(ctx.rank)
+        self.total_penalty_s += prices[3]
+        yield Overhead(prices[2])
         return self.cells[cell]
 
     def store(self, ctx: "RankCtx", cell: str, value: int):
         """Write one named cell (generator; requires the calling rank's lock)."""
         self._require_held(ctx)
         self._check_cell(cell)
-        penalty = self._penalty_of(ctx)[0]
-        self.total_penalty_s += penalty
-        yield Overhead(self.world.costs.mpi.shm_access + penalty)
+        prices = self._prices_of(ctx.rank)
+        self.total_penalty_s += prices[3]
+        yield Overhead(prices[2])
         self.cells[cell] = value
 
     def access(self, ctx: "RankCtx", n: int = 1):
@@ -262,15 +308,15 @@ class SharedWindow:
         touches through this method (and hold the lock).
         """
         self._require_held(ctx)
-        penalty = self._penalty_of(ctx)[0]
-        self.total_penalty_s += n * penalty
-        yield Overhead(n * (self.world.costs.mpi.shm_access + penalty))
+        prices = self._prices_of(ctx.rank)
+        self.total_penalty_s += n * prices[3]
+        yield Overhead(n * prices[2])
 
     def atomic_fetch_add(self, ctx: "RankCtx", cell: str, value: int):
         """Lock-free shared atomic (``MPI_Fetch_and_op`` on the local
         window) — does *not* require holding the window lock."""
         self._check_cell(cell)
-        penalty = self._penalty_of(ctx)[1]
+        penalty = self._prices_of(ctx.rank)[4]
         self.total_penalty_s += penalty
         yield Overhead(self.world.costs.mpi.shm_atomic + penalty)
         old = self.cells[cell]
@@ -289,6 +335,7 @@ class SharedWindow:
     # ------------------------------------------------------------------
     @property
     def mean_attempts_per_acquire(self) -> float:
+        """Lock attempts per acquisition (0.0 before the first one)."""
         if self.n_acquisitions == 0:
             return 0.0
         return self.n_attempts / self.n_acquisitions

@@ -163,6 +163,8 @@ class RankCtx:
         self.local_rank = rank - min(world.placement.ranks_on_node(self.node))
         self.socket_rank = world.placement.socket_rank(rank)
         self.numa_rank = world.placement.numa_rank(rank)
+        #: owner tag this rank leaves on the locks it holds
+        self.owner = f"rank{rank}"
         self.process: Optional[Process] = None
 
     # -- introspection ---------------------------------------------------

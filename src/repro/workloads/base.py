@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -26,8 +26,11 @@ class Workload:
         performs the iterations (used by the native backend and the
         examples; the simulator only needs ``costs``).
 
-    Block costs are O(1) via a prefix-sum table — execution models call
-    :meth:`block_cost` once per sub-chunk, so this matters.
+    Block costs are O(1) via a prefix-sum table — execution models
+    price every sub-chunk, so this matters.  Scalar reads go through a
+    plain-Python twin of the table (:meth:`cost_prefix`), built on first
+    use and never pickled, so the per-chunk path does no NumPy scalar
+    arithmetic.
     """
 
     def __init__(
@@ -47,6 +50,12 @@ class Workload:
         self.meta = dict(meta or {})
         self.executor = executor
         self._prefix = np.concatenate(([0.0], np.cumsum(costs)))
+        self._prefix_list: Optional[List[float]] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state["_prefix_list"] = None  # rebuilt on first use, per process
+        return state
 
     # ------------------------------------------------------------------
     @property
@@ -63,13 +72,27 @@ class Workload:
         """Nominal cost of iteration ``i``."""
         return float(self.costs[i])
 
+    def cost_prefix(self) -> List[float]:
+        """Prefix sums of the costs as Python floats (``n + 1`` entries).
+
+        Entry ``i`` is the nominal cost of iterations ``[0, i)``: the
+        NumPy prefix table converted entry by entry, so a difference of
+        two entries is the same double NumPy would compute.  Built once
+        per object.
+        """
+        prefix = self._prefix_list
+        if prefix is None:
+            prefix = self._prefix_list = self._prefix.tolist()
+        return prefix
+
     def block_cost(self, start: int, size: int) -> float:
         """Total nominal cost of iterations ``[start, start+size)`` (O(1))."""
         if size < 0 or start < 0 or start + size > self.n:
             raise IndexError(
                 f"block [{start}, {start + size}) outside loop of {self.n} iterations"
             )
-        return float(self._prefix[start + size] - self._prefix[start])
+        prefix = self.cost_prefix()
+        return prefix[start + size] - prefix[start]
 
     def profile(self, h: float = 1.0e-6) -> IterationProfile:
         """The (mu, sigma) prior that FAC/TAP/FSC assume known."""

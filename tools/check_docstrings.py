@@ -1,6 +1,7 @@
 #!/usr/bin/env python
 """Docstring-check the ``repro.cluster`` machine-model modules and the
-engine and cell-cache modules listed in ``CHECKED_MODULES``.
+engine, MPI-window, model-scaffolding and cell-cache modules listed in
+``CHECKED_MODULES``.
 
 The cluster layer is the package's public vocabulary for hardware,
 costs and placement, so its API documentation must not rot.  This
@@ -43,8 +44,11 @@ CHECKED_MODULES = [
     "src/repro/cluster/placement_opt.py",
     "src/repro/cluster/topology.py",
     "src/repro/experiments/parallel.py",
+    "src/repro/models/base.py",
     "src/repro/models/dcc.py",
     "src/repro/sim/cohorts.py",
+    "src/repro/smpi/rma.py",
+    "src/repro/smpi/shm.py",
 ]
 
 #: every checked module's docstring corpus must state these conventions
