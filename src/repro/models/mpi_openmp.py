@@ -1,12 +1,13 @@
 """The baseline: hierarchical DLS with the hybrid MPI+OpenMP approach.
 
 One MPI process per compute node participates in the distributed chunk
-calculation (same global work queue as the MPI+MPI model).  Each chunk
-is executed by the process's OpenMP team using the selected
-``schedule`` clause; the **implicit barrier** that terminates every
-worksharing loop forces all threads to wait for the slowest one before
-the master can request the next chunk (paper Figure 2) — that idle
-time is the cost the MPI+MPI approach eliminates.
+calculation (same global work queue as the MPI+MPI model); the PE
+index of the global level is the node index.  Each chunk is executed
+by the process's OpenMP team using the selected ``schedule`` clause;
+the **implicit barrier** that terminates every worksharing loop forces
+all threads to wait for the slowest one before the master can request
+the next chunk (paper Figure 2) — that idle time is the cost the
+MPI+MPI approach eliminates.  All times are simulated seconds.
 
 The intra-node technique is translated to an OpenMP schedule through
 :meth:`repro.somp.schedule.ScheduleSpec.from_technique`.  With
@@ -17,40 +18,58 @@ were unavailable in the paper's MPI+OpenMP experiments.
 
 ``nowait_selffetch=True`` switches to the paper's Section 6
 future-work variant: threads skip the barrier and fetch chunks
-themselves under a serialising mutex (ablation A-3).
+themselves under a serialising mutex (ablation A-3, depth 2 only).
 
-Three-level stacks (``X+Y+Z``) map onto **nested OpenMP parallelism**:
-one MPI process per node, an outer worksharing level over the node's
-sockets (one persistent *socket driver* + thread team per socket), and
-the leaf ``schedule`` clause within each socket team.  Each global
-chunk is carved across sockets by the middle technique
-(self-scheduled — whichever socket driver drains the outer queue grabs
-next), and the outer worksharing loop ends in its own implicit barrier
-across sockets, just as the inner loops barrier across threads.  Depth
-2 executes the exact code path of the original two-level model.
-
-Four-level stacks (``W+X+Y+Z``) nest once more: each socket sub-chunk
-is carved by the level-2 technique across the socket's **NUMA
-domains** (one persistent *NUMA driver* + thread team per NUMA
-domain), with the leaf ``schedule`` clause inside each NUMA team and a
-per-socket implicit barrier across NUMA domains after every socket
-sub-chunk.  Depth 3 executes the exact code path of the original
-three-level implementation.
+Deeper stacks map onto **nested OpenMP parallelism**, one nesting tier
+per level between the node and the cores: a depth-3 stack (``X+Y+Z``)
+nests the node's sockets, a depth-4 stack (``W+X+Y+Z``) nests sockets
+and then each socket's NUMA domains.  Every leaf group (the node at
+depth 2, a socket at depth 3, a NUMA domain at depth 4) owns one thread
+team running the leaf ``schedule`` clause; the threads of a team are
+the node's cores in that group.  One recursive driver runs every depth:
+a chunk given to an inner group opens one worksharing round in which
+the group's children self-schedule sub-chunks carved by the next
+level's technique, and the round ends in the group's own implicit
+barrier.  A group's first child is driven by the group's own driver
+(the rank process, for the node); every other child has a persistent
+*driver* process, thread 0 of its first team.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.cluster.interconnect import Tier, tier_between
 from repro.core.technique_base import ChunkCalculator
 from repro.models.base import ExecutionModel, GlobalQueue, _Run
-from repro.sim.primitives import Overhead
+from repro.sim.primitives import Overhead, SimEvent
 from repro.sim.resources import Barrier
 from repro.smpi.world import MpiWorld, RankCtx
 from repro.somp.schedule import ScheduleSpec
 from repro.somp.team import OmpTeam
+
+
+class _Nesting(NamedTuple):
+    """Naming and pricing of the groups nested at one tier below a group."""
+
+    #: child-name letter (``n0`` -> ``n0.s1``)
+    letter: str
+    #: locality tier the children's barrier spans
+    span: Tier
+    #: RNG-stream prefix of the chunk calculator carving across children
+    rng_prefix: str
+    #: barrier-name prefix
+    barrier_prefix: str
+    #: counter of worksharing rounds opened across the children
+    counter: str
+
+
+#: the nesting tiers below the node, outermost first
+_NESTING = (
+    _Nesting("s", Tier.SAME_NODE, "mid-rnd", "omp-outer", "omp_outer_rounds"),
+    _Nesting("m", Tier.SAME_SOCKET, "numa-rnd", "omp-inner", "omp_inner_rounds"),
+)
 
 
 def _team_barrier_penalty(run: "_Run", node_spec, cores) -> float:
@@ -76,31 +95,52 @@ def _team_barrier_penalty(run: "_Run", node_spec, cores) -> float:
 
 
 @dataclass
-class _OuterRound:
-    """One global chunk being carved across a node's sockets."""
+class _Round:
+    """One chunk being carved across a group's children."""
 
-    src_step: int
     start: int
     size: int
     calc: ChunkCalculator
     counter: int = 0
     scheduled: int = 0
-    grabs: Dict[int, int] = field(default_factory=dict)
 
-    def grab(self, socket_pos: int):
-        """Self-scheduled outer grab: (step, abs_start, size) or None."""
+    def grab(self, child_pos: int):
+        """Self-scheduled grab: (step, abs_start, size) or None."""
         remaining = self.size - self.scheduled
         if remaining <= 0:
             return None
-        size = self.calc.size_at(self.counter, pe=socket_pos)
+        size = self.calc.size_at(self.counter, pe=child_pos)
         if size <= 0:
             return None
         size = min(size, remaining)
         out = (self.counter, self.start + self.scheduled, size)
         self.scheduled += size
         self.counter += 1
-        self.grabs[socket_pos] = self.grabs.get(socket_pos, 0) + 1
         return out
+
+
+@dataclass
+class _Group:
+    """One worksharing group of a node: the node, a socket or a NUMA domain.
+
+    A leaf group owns the thread team; an inner group owns the barrier
+    its children meet at after every round and the gate that hands each
+    round to their drivers.
+    """
+
+    #: ``n{node}[.s{socket}][.m{numa}]``, also the leaf team's name
+    name: str
+    #: nesting tier: 0 for the node, 1 for a socket, 2 for a NUMA domain
+    tier: int
+    children: List["_Group"] = field(default_factory=list)
+    team: Optional[OmpTeam] = None
+    #: the leaf team's ``body_time(start, size, tid)``
+    body_time: Optional[Callable[[int, int, int], float]] = None
+    barrier: Optional[Barrier] = None
+    #: seconds of the round-ending barrier, locality penalty included
+    barrier_cost: float = 0.0
+    gate: Optional[SimEvent] = None
+    rounds: int = 0
 
 
 class MpiOpenMpModel(ExecutionModel):
@@ -113,33 +153,6 @@ class MpiOpenMpModel(ExecutionModel):
         self.intel_runtime = intel_runtime
         #: use the nowait future-work execution style (ablation A-3)
         self.nowait_selffetch = nowait_selffetch
-
-    # -- shared setup --------------------------------------------------
-    def _setup(self, run: _Run):
-        """One MPI process per node + the global queue + the leaf
-        ``schedule`` clause (identical for depth 2 and depth 3)."""
-        world = MpiWorld(run.sim, run.cluster, ppn=1, costs=run.costs)
-        inter_calc = run.spec.inter.make_calculator(
-            run.workload.n,
-            run.cluster.n_nodes,
-            rng=run.sim.rng("inter-rnd"),
-            chunk_overhead=run.costs.chunk_calc,
-        )
-        queue = GlobalQueue(
-            world,
-            inter_calc,
-            run.workload.n,
-            host_rank=0,
-            pinned=run.spec.inter.technique.pinned_per_pe,
-        )
-        leaf = run.spec.intra  # the last level drives the schedule clause
-        omp_spec = ScheduleSpec.from_technique(
-            leaf.technique.name,
-            extensions=not self.intel_runtime,
-        )
-        if leaf.min_chunk > 1:
-            omp_spec = ScheduleSpec(omp_spec.kind, leaf.min_chunk)
-        return world, inter_calc, queue, omp_spec
 
     @staticmethod
     def _team_thread_stats(team: OmpTeam):
@@ -155,19 +168,7 @@ class MpiOpenMpModel(ExecutionModel):
 
     def _execute(self, run: _Run) -> None:
         depth = run.spec.depth
-        if depth in (3, 4):
-            if self.nowait_selffetch:
-                raise ValueError(
-                    "the nowait self-fetch variant (ablation A-3) is "
-                    "defined for two-level stacks only; got "
-                    f"{run.spec.label}"
-                )
-            if depth == 3:
-                self._execute_three_level(run)
-            else:
-                self._execute_four_level(run)
-            return
-        if depth != 2:
+        if depth not in (2, 3, 4):
             raise ValueError(
                 "mpi+openmp composes one MPI level with OpenMP worksharing: "
                 "use a depth-2 stack (node -> core), a depth-3 stack "
@@ -175,511 +176,208 @@ class MpiOpenMpModel(ExecutionModel):
                 f"(node -> socket -> numa -> core); got depth {depth} "
                 f"({run.spec.label})"
             )
-        world, inter_calc, queue, omp_spec = self._setup(run)
-        n_threads = run.ppn
-
-        teams: dict[int, OmpTeam] = {}
-        finish_times: dict[int, float] = {}
-
-        def node_main(ctx: RankCtx):
-            node_spec = run.cluster.node_of(ctx.node)
-            team = OmpTeam(
-                run.sim,
-                n_threads,
-                run.costs,
-                name=f"n{ctx.node}",
-                weights=None,
-                rng=run.sim.rng(f"omp-rnd.n{ctx.node}"),
-                trace=run.trace,
-                barrier_penalty=_team_barrier_penalty(
-                    run, node_spec, range(n_threads)
-                ),
+        if self.nowait_selffetch and depth != 2:
+            raise ValueError(
+                "the nowait self-fetch variant (ablation A-3) is "
+                "defined for two-level stacks only; got "
+                f"{run.spec.label}"
             )
-            teams[ctx.node] = team
-
-            def body_time(start: int, size: int, tid: int) -> float:
-                run.record_subchunk(0, start, size, pe=ctx.node * n_threads + tid)
-                return run.exec_time(start, size, ctx.node, tid)
-
-            if self.nowait_selffetch:
-                yield from self._selffetch_main(run, ctx, queue, team, omp_spec, body_time)
-            else:
-                while True:
-                    step, start, size = yield from queue.next_chunk(ctx, pe=ctx.node)
-                    if size <= 0:
-                        break
-                    run.record_chunk(step, start, size, pe=ctx.node)
-                    t0 = run.sim.now
-                    yield from team.parallel_for(start, size, omp_spec, body_time)
-                    # runtime feedback for adaptive inter-node techniques:
-                    # the node processed `size` iterations in (now - t0)
-                    inter_calc.record(ctx.node, size, compute_time=run.sim.now - t0)
-            finish_times[ctx.node] = run.sim.now
-            team.shutdown()
-
-        world.run(node_main)
-
-        # Per-worker stats: each OpenMP thread is a worker.  Thread 0 is
-        # the rank process itself.
-        for ctx in world.contexts:
-            team = teams[ctx.node]
-            rank_process = ctx.process
-            thread_processes = [rank_process, *team.threads]
-            executed, grabs = self._team_thread_stats(team)
-            for tid, process in enumerate(thread_processes):
-                run.record_worker(
-                    name=f"n{ctx.node}.t{tid}",
-                    node=ctx.node,
-                    finish_time=finish_times[ctx.node],
-                    process=process,
-                    n_chunks=grabs.get(tid, 0),
-                    n_iterations=executed.get(tid, 0),
-                )
-        run.counters["global_atomics"] = queue.window.n_atomics
-        run.counters["remote_atomics"] = queue.window.n_remote_atomics
-        run.counters["omp_phases"] = sum(len(t.phases) for t in teams.values())
-        run.counters["omp_grabs"] = sum(
-            t.stats()["total_grabs"] for t in teams.values()
+        run.n_sched_levels = depth
+        sim, costs = run.sim, run.costs
+        world = MpiWorld(sim, run.cluster, ppn=1, costs=costs)
+        inter_calc = run.spec.inter.make_calculator(
+            run.workload.n,
+            run.cluster.n_nodes,
+            rng=sim.rng("inter-rnd"),
+            chunk_overhead=costs.chunk_calc,
         )
-
-    # ------------------------------------------------------------------
-    def _execute_three_level(self, run: _Run) -> None:
-        """Nested OpenMP: outer worksharing over sockets, inner per socket.
-
-        Per node and per global chunk, the socket drivers self-schedule
-        the middle technique's sub-chunks over their teams and then meet
-        at the outer implicit barrier; the rank process (driver of the
-        first socket) fetches the next global chunk only after that
-        barrier — the node-level analogue of the paper's Figure 2.
-        """
-        run.n_sched_levels = 3
-        world, inter_calc, queue, omp_spec = self._setup(run)
+        queue = GlobalQueue(
+            world,
+            inter_calc,
+            run.workload.n,
+            host_rank=0,
+            pinned=run.spec.inter.technique.pinned_per_pe,
+        )
+        leaf = run.spec.intra  # the last level drives the schedule clause
+        omp_spec = ScheduleSpec.from_technique(
+            leaf.technique.name,
+            extensions=not self.intel_runtime,
+        )
+        if leaf.min_chunk > 1:
+            omp_spec = ScheduleSpec(omp_spec.kind, leaf.min_chunk)
         n_threads = run.ppn
+        nesting = _NESTING[: depth - 2]
+        # outer worksharing grab: atomic capture + the level's chunk formula
+        grab_cost = costs.omp.atomic + costs.chunk_calc
 
-        #: (node, socket) -> team, plus per-node bookkeeping for stats
-        teams: Dict[tuple, OmpTeam] = {}
-        socket_cores: Dict[tuple, List[int]] = {}
+        #: node -> its leaf teams in (socket, numa) order
+        teams: Dict[int, List[OmpTeam]] = {}
         finish_times: Dict[int, float] = {}
-        outer_rounds = [0]
+        rounds = [0] * len(nesting)
 
         def node_main(ctx: RankCtx):
-            sim = run.sim
             node = ctx.node
             node_spec = run.cluster.node_of(node)
-            groups: Dict[int, List[int]] = {}
-            for core in range(n_threads):
-                groups.setdefault(node_spec.socket_of_core(core), []).append(core)
-            sockets = sorted(groups)
-            n_sockets = len(sockets)
-            node_teams: List[OmpTeam] = []
-            for socket in sockets:
-                team = OmpTeam(
-                    sim,
-                    len(groups[socket]),
-                    run.costs,
-                    name=f"n{node}.s{socket}",
-                    weights=None,
-                    rng=sim.rng(f"omp-rnd.n{node}.s{socket}"),
-                    trace=run.trace,
-                    barrier_penalty=_team_barrier_penalty(
-                        run, node_spec, groups[socket]
-                    ),
+            tier_of_core = (node_spec.socket_of_core, node_spec.numa_of_core)
+            node_teams = teams[node] = []
+
+            def build(name: str, tier: int, cores: List[int]) -> _Group:
+                group = _Group(name, tier)
+                if tier == len(nesting):
+                    group.team = OmpTeam(
+                        sim,
+                        len(cores),
+                        costs,
+                        name=name,
+                        weights=None,
+                        rng=sim.rng(f"omp-rnd.{name}"),
+                        trace=run.trace,
+                        barrier_penalty=_team_barrier_penalty(run, node_spec, cores),
+                    )
+                    node_teams.append(group.team)
+
+                    def body_time(start: int, size: int, tid: int) -> float:
+                        core = cores[tid]
+                        run.record_subchunk(0, start, size, pe=node * n_threads + core)
+                        return run.exec_time(start, size, node, core)
+
+                    group.body_time = body_time
+                    return group
+                nest = nesting[tier]
+                parts: Dict[int, List[int]] = {}
+                for core in cores:
+                    parts.setdefault(tier_of_core[tier](core), []).append(core)
+                group.children = [
+                    build(f"{name}.{nest.letter}{key}", tier + 1, parts[key])
+                    for key in sorted(parts)
+                ]
+                n_children = len(group.children)
+                penalty = (
+                    costs.mpi.tier_atomic_penalty(nest.span) if n_children > 1 else 0.0
                 )
-                teams[(node, socket)] = team
-                socket_cores[(node, socket)] = groups[socket]
-                node_teams.append(team)
-            outer_barrier = Barrier(sim, n_sockets, name=f"omp-outer.n{node}")
-            gate_box = {"gate": sim.event(f"omp-outer.n{node}.round0")}
-            omp = run.costs.omp
-            # the outer worksharing barrier synchronises across sockets
-            outer_penalty = (
-                run.costs.mpi.tier_atomic_penalty(Tier.SAME_NODE)
-                if n_sockets > 1
-                else 0.0
-            )
+                group.barrier_cost = costs.omp.barrier_time(n_children) + penalty
+                group.barrier = Barrier(
+                    sim, n_children, name=f"{nest.barrier_prefix}.{name}"
+                )
+                group.gate = sim.event(f"{group.barrier.name}.round0")
+                return group
 
-            def body_time_for(socket_pos: int):
-                cores = socket_cores[(node, sockets[socket_pos])]
+            def execute(group: _Group, start: int, size: int):
+                """Run ``size`` iterations from ``start`` on ``group``."""
+                if group.team is not None:
+                    yield from group.team.parallel_for(
+                        start, size, omp_spec, group.body_time
+                    )
+                    return
+                calc = run.spec.levels[group.tier + 1].make_calculator(
+                    size,
+                    len(group.children),
+                    rng=sim.rng(f"{nesting[group.tier].rng_prefix}.{group.name}"),
+                    chunk_overhead=costs.chunk_calc,
+                )
+                round_ = _Round(start=start, size=size, calc=calc)
+                group.rounds += 1
+                rounds[group.tier] += 1
+                gate, group.gate = group.gate, sim.event(
+                    f"{group.barrier.name}.round{group.rounds}"
+                )
+                gate.trigger(round_)
+                yield from drive(group, 0, round_)
 
-                def body_time(start: int, size: int, tid: int) -> float:
-                    core = cores[tid]
-                    run.record_subchunk(0, start, size, pe=node * n_threads + core)
-                    return run.exec_time(start, size, node, core)
-
-                return body_time
-
-            body_times = [body_time_for(pos) for pos in range(n_sockets)]
-
-            def drive_round(socket_pos: int, round_: _OuterRound):
-                """One socket driver's share of one global chunk."""
-                team = node_teams[socket_pos]
+            def drive(group: _Group, pos: int, round_: _Round):
+                """Child ``pos``'s self-scheduled share of one round."""
+                child = group.children[pos]
                 while True:
-                    # outer worksharing grab: atomic capture + middle
-                    # technique's chunk formula
-                    yield Overhead(omp.atomic + run.costs.chunk_calc)
-                    grabbed = round_.grab(socket_pos)
+                    yield Overhead(grab_cost)
+                    grabbed = round_.grab(pos)
                     if grabbed is None:
                         break
                     step, sub_start, sub_size = grabbed
-                    run.record_level_chunk(1, step, sub_start, sub_size, pe=socket_pos)
+                    run.record_level_chunk(
+                        group.tier + 1, step, sub_start, sub_size, pe=pos
+                    )
                     t0 = sim.now
-                    yield from team.parallel_for(
-                        sub_start, sub_size, omp_spec, body_times[socket_pos]
-                    )
-                    round_.calc.record(
-                        socket_pos, sub_size, compute_time=sim.now - t0
-                    )
-                # the outer worksharing loop's own implicit barrier
-                yield Overhead(omp.barrier_time(n_sockets) + outer_penalty)
-                yield from outer_barrier.wait()
+                    yield from execute(child, sub_start, sub_size)
+                    round_.calc.record(pos, sub_size, compute_time=sim.now - t0)
+                # the worksharing loop's own implicit barrier
+                yield Overhead(group.barrier_cost)
+                yield from group.barrier.wait()
 
-            def driver_main(socket_pos: int):
-                gate = gate_box["gate"]
+            def driver_main(group: _Group, pos: int):
+                gate = group.gate
                 while True:
                     round_ = yield gate
-                    gate = gate_box["gate"]
+                    gate = group.gate
                     if round_ is None:
                         return
-                    yield from drive_round(socket_pos, round_)
+                    yield from drive(group, pos, round_)
 
-            driver_processes = [
-                sim.spawn(driver_main(pos), name=f"n{node}.s{sockets[pos]}.drv")
-                for pos in range(1, n_sockets)
-            ]
-            for pos, process in enumerate(driver_processes, start=1):
-                teams[(node, sockets[pos])].driver_process = process
+            def first_team(group: _Group) -> OmpTeam:
+                while group.team is None:
+                    group = group.children[0]
+                return group.team
 
-            round_index = 0
-            while True:
-                step, start, size = yield from queue.next_chunk(ctx, pe=node)
-                if size <= 0:
-                    break
-                run.record_chunk(step, start, size, pe=node)
-                mid_calc = run.spec.levels[1].make_calculator(
-                    size,
-                    n_sockets,
-                    rng=sim.rng(f"mid-rnd.n{node}"),
-                    chunk_overhead=run.costs.chunk_calc,
+            root = build(f"n{node}", 0, list(range(n_threads)))
+            first_team(root).driver_process = ctx.process
+            # every child but the first gets a persistent driver (the first
+            # is driven by its parent's driver); the loop appends to
+            # `inner` as it goes, so drivers are spawned tier by tier
+            inner = [] if root.team is not None else [root]
+            for group in inner:
+                for pos, child in enumerate(group.children):
+                    if pos > 0:
+                        first_team(child).driver_process = sim.spawn(
+                            driver_main(group, pos), name=f"{child.name}.drv"
+                        )
+                    if child.team is None:
+                        inner.append(child)
+
+            if self.nowait_selffetch:
+                yield from self._selffetch_main(
+                    run, ctx, queue, root.team, omp_spec, root.body_time
                 )
-                round_ = _OuterRound(
-                    src_step=step, start=start, size=size, calc=mid_calc
-                )
-                round_index += 1
-                outer_rounds[0] += 1
-                gate, gate_box["gate"] = gate_box["gate"], sim.event(
-                    f"omp-outer.n{node}.round{round_index}"
-                )
-                gate.trigger(round_)
-                t0 = sim.now
-                yield from drive_round(0, round_)
-                # runtime feedback for adaptive inter-node techniques
-                inter_calc.record(node, size, compute_time=sim.now - t0)
+            else:
+                while True:
+                    step, start, size = yield from queue.next_chunk(ctx, pe=node)
+                    if size <= 0:
+                        break
+                    run.record_chunk(step, start, size, pe=node)
+                    t0 = sim.now
+                    yield from execute(root, start, size)
+                    # runtime feedback for adaptive inter-node techniques:
+                    # the node processed `size` iterations in (now - t0)
+                    inter_calc.record(node, size, compute_time=sim.now - t0)
             finish_times[node] = sim.now
-            gate_box["gate"].trigger(None)
+            for group in inner:
+                group.gate.trigger(None)
             for team in node_teams:
                 team.shutdown()
 
         world.run(node_main)
 
-        # Per-worker stats: each OpenMP thread of each socket team is a
-        # worker.  Thread 0 of the first socket's team is the rank
-        # process itself; thread 0 of every other team is its driver.
+        # Per-worker stats: each OpenMP thread of each leaf team is a
+        # worker; thread 0 of a team is its driver process.
         for ctx in world.contexts:
             node = ctx.node
-            node_keys = sorted(k for k in teams if k[0] == node)
-            for position, key in enumerate(node_keys):
-                team = teams[key]
-                driver = ctx.process if position == 0 else team.driver_process
-                thread_processes = [driver, *team.threads]
+            for team in teams[node]:
                 executed, grabs = self._team_thread_stats(team)
-                for tid, process in enumerate(thread_processes):
-                    run.record_worker(
-                        name=f"n{node}.s{key[1]}.t{tid}",
-                        node=node,
-                        finish_time=finish_times[node],
-                        process=process,
-                        n_chunks=grabs.get(tid, 0),
-                        n_iterations=executed.get(tid, 0),
-                    )
-        run.counters["global_atomics"] = queue.window.n_atomics
-        run.counters["remote_atomics"] = queue.window.n_remote_atomics
-        run.counters["omp_phases"] = sum(len(t.phases) for t in teams.values())
-        run.counters["omp_grabs"] = sum(
-            t.stats()["total_grabs"] for t in teams.values()
-        )
-        run.counters["omp_outer_rounds"] = outer_rounds[0]
-
-    # ------------------------------------------------------------------
-    def _execute_four_level(self, run: _Run) -> None:
-        """Doubly-nested OpenMP: sockets, then NUMA domains, then threads.
-
-        The depth-3 structure repeated one tier down: per node and per
-        global chunk, the socket drivers self-schedule the level-1
-        technique's sub-chunks; each socket sub-chunk is then carved by
-        the level-2 technique across the socket's NUMA domains, whose
-        persistent *NUMA drivers* self-schedule grabs onto their thread
-        teams (one :class:`OmpTeam` per NUMA domain) running the leaf
-        ``schedule`` clause.  Each nesting level ends in its own
-        implicit barrier: NUMA drivers meet at a per-socket barrier
-        after every socket sub-chunk, sockets meet at the per-node
-        barrier after every global chunk.
-        """
-        run.n_sched_levels = 4
-        world, inter_calc, queue, omp_spec = self._setup(run)
-        n_threads = run.ppn
-
-        #: (node, socket, numa) -> team, plus bookkeeping for stats
-        teams: Dict[tuple, OmpTeam] = {}
-        numa_cores: Dict[tuple, List[int]] = {}
-        finish_times: Dict[int, float] = {}
-        outer_rounds = [0]
-        inner_rounds = [0]
-
-        def node_main(ctx: RankCtx):
-            sim = run.sim
-            node = ctx.node
-            node_spec = run.cluster.node_of(node)
-            #: socket -> numa -> [cores] (placement-occupied tiers only)
-            groups: Dict[int, Dict[int, List[int]]] = {}
-            for core in range(n_threads):
-                socket = node_spec.socket_of_core(core)
-                numa = node_spec.numa_of_core(core)
-                groups.setdefault(socket, {}).setdefault(numa, []).append(core)
-            sockets = sorted(groups)
-            n_sockets = len(sockets)
-            socket_numas = {socket: sorted(groups[socket]) for socket in sockets}
-            for socket in sockets:
-                for numa in socket_numas[socket]:
-                    team = OmpTeam(
-                        sim,
-                        len(groups[socket][numa]),
-                        run.costs,
-                        name=f"n{node}.s{socket}.m{numa}",
-                        weights=None,
-                        rng=sim.rng(f"omp-rnd.n{node}.s{socket}.m{numa}"),
-                        trace=run.trace,
-                        barrier_penalty=_team_barrier_penalty(
-                            run, node_spec, groups[socket][numa]
-                        ),
-                    )
-                    teams[(node, socket, numa)] = team
-                    numa_cores[(node, socket, numa)] = groups[socket][numa]
-            omp = run.costs.omp
-            # cross-socket / cross-NUMA surcharges for the nested
-            # worksharing barriers (zero with default knobs)
-            outer_penalty = (
-                run.costs.mpi.tier_atomic_penalty(Tier.SAME_NODE)
-                if n_sockets > 1
-                else 0.0
-            )
-            inner_penalties = {
-                socket: (
-                    run.costs.mpi.tier_atomic_penalty(Tier.SAME_SOCKET)
-                    if len(socket_numas[socket]) > 1
-                    else 0.0
-                )
-                for socket in sockets
-            }
-            outer_barrier = Barrier(sim, n_sockets, name=f"omp-outer.n{node}")
-            outer_gate = {"gate": sim.event(f"omp-outer.n{node}.round0")}
-            inner_barriers = {
-                socket: Barrier(
-                    sim,
-                    len(socket_numas[socket]),
-                    name=f"omp-inner.n{node}.s{socket}",
-                )
-                for socket in sockets
-            }
-            inner_gates = {
-                socket: {"gate": sim.event(f"omp-inner.n{node}.s{socket}.round0")}
-                for socket in sockets
-            }
-            inner_counters = {socket: 0 for socket in sockets}
-
-            def body_time_for(socket: int, numa: int):
-                cores = numa_cores[(node, socket, numa)]
-
-                def body_time(start: int, size: int, tid: int) -> float:
-                    core = cores[tid]
-                    run.record_subchunk(0, start, size, pe=node * n_threads + core)
-                    return run.exec_time(start, size, node, core)
-
-                return body_time
-
-            body_times = {
-                (socket, numa): body_time_for(socket, numa)
-                for socket in sockets
-                for numa in socket_numas[socket]
-            }
-
-            def drive_numa_round(socket: int, numa_pos: int, round_: _OuterRound):
-                """One NUMA driver's share of one socket sub-chunk."""
-                numa = socket_numas[socket][numa_pos]
-                team = teams[(node, socket, numa)]
-                while True:
-                    yield Overhead(omp.atomic + run.costs.chunk_calc)
-                    grabbed = round_.grab(numa_pos)
-                    if grabbed is None:
-                        break
-                    step, sub_start, sub_size = grabbed
-                    run.record_level_chunk(2, step, sub_start, sub_size, pe=numa_pos)
-                    t0 = sim.now
-                    yield from team.parallel_for(
-                        sub_start, sub_size, omp_spec, body_times[(socket, numa)]
-                    )
-                    round_.calc.record(
-                        numa_pos, sub_size, compute_time=sim.now - t0
-                    )
-                # the inner worksharing loop's own implicit barrier
-                yield Overhead(
-                    omp.barrier_time(len(socket_numas[socket]))
-                    + inner_penalties[socket]
-                )
-                yield from inner_barriers[socket].wait()
-
-            def numa_driver_main(socket: int, numa_pos: int):
-                gate = inner_gates[socket]["gate"]
-                while True:
-                    round_ = yield gate
-                    gate = inner_gates[socket]["gate"]
-                    if round_ is None:
-                        return
-                    yield from drive_numa_round(socket, numa_pos, round_)
-
-            def drive_socket_round(socket_pos: int, round_: _OuterRound):
-                """One socket driver's share of one global chunk: grab
-                socket sub-chunks, carve each across the NUMA teams."""
-                socket = sockets[socket_pos]
-                n_numa = len(socket_numas[socket])
-                while True:
-                    yield Overhead(omp.atomic + run.costs.chunk_calc)
-                    grabbed = round_.grab(socket_pos)
-                    if grabbed is None:
-                        break
-                    step, sub_start, sub_size = grabbed
-                    run.record_level_chunk(1, step, sub_start, sub_size, pe=socket_pos)
-                    numa_calc = run.spec.levels[2].make_calculator(
-                        sub_size,
-                        n_numa,
-                        rng=sim.rng(f"numa-rnd.n{node}.s{socket}"),
-                        chunk_overhead=run.costs.chunk_calc,
-                    )
-                    inner = _OuterRound(
-                        src_step=step, start=sub_start, size=sub_size,
-                        calc=numa_calc,
-                    )
-                    inner_counters[socket] += 1
-                    inner_rounds[0] += 1
-                    gate, inner_gates[socket]["gate"] = (
-                        inner_gates[socket]["gate"],
-                        sim.event(
-                            f"omp-inner.n{node}.s{socket}"
-                            f".round{inner_counters[socket]}"
-                        ),
-                    )
-                    gate.trigger(inner)
-                    t0 = sim.now
-                    yield from drive_numa_round(socket, 0, inner)
-                    round_.calc.record(
-                        socket_pos, sub_size, compute_time=sim.now - t0
-                    )
-                # the outer worksharing loop's own implicit barrier
-                yield Overhead(omp.barrier_time(n_sockets) + outer_penalty)
-                yield from outer_barrier.wait()
-
-            def socket_driver_main(socket_pos: int):
-                gate = outer_gate["gate"]
-                while True:
-                    round_ = yield gate
-                    gate = outer_gate["gate"]
-                    if round_ is None:
-                        return
-                    yield from drive_socket_round(socket_pos, round_)
-
-            # the rank process drives socket 0 / NUMA 0; every other tier
-            # group gets a persistent driver process (thread 0 of its team)
-            teams[(node, sockets[0], socket_numas[sockets[0]][0])].driver_process = (
-                ctx.process
-            )
-            for pos in range(1, n_sockets):
-                socket = sockets[pos]
-                process = sim.spawn(
-                    socket_driver_main(pos), name=f"n{node}.s{socket}.drv"
-                )
-                teams[(node, socket, socket_numas[socket][0])].driver_process = (
-                    process
-                )
-            for socket in sockets:
-                for numa_pos in range(1, len(socket_numas[socket])):
-                    numa = socket_numas[socket][numa_pos]
-                    process = sim.spawn(
-                        numa_driver_main(socket, numa_pos),
-                        name=f"n{node}.s{socket}.m{numa}.drv",
-                    )
-                    teams[(node, socket, numa)].driver_process = process
-
-            round_index = 0
-            while True:
-                step, start, size = yield from queue.next_chunk(ctx, pe=node)
-                if size <= 0:
-                    break
-                run.record_chunk(step, start, size, pe=node)
-                mid_calc = run.spec.levels[1].make_calculator(
-                    size,
-                    n_sockets,
-                    rng=sim.rng(f"mid-rnd.n{node}"),
-                    chunk_overhead=run.costs.chunk_calc,
-                )
-                round_ = _OuterRound(
-                    src_step=step, start=start, size=size, calc=mid_calc
-                )
-                round_index += 1
-                outer_rounds[0] += 1
-                gate, outer_gate["gate"] = outer_gate["gate"], sim.event(
-                    f"omp-outer.n{node}.round{round_index}"
-                )
-                gate.trigger(round_)
-                t0 = sim.now
-                yield from drive_socket_round(0, round_)
-                # runtime feedback for adaptive inter-node techniques
-                inter_calc.record(node, size, compute_time=sim.now - t0)
-            finish_times[node] = sim.now
-            outer_gate["gate"].trigger(None)
-            for socket in sockets:
-                inner_gates[socket]["gate"].trigger(None)
-            for socket in sockets:
-                for numa in socket_numas[socket]:
-                    teams[(node, socket, numa)].shutdown()
-
-        world.run(node_main)
-
-        # Per-worker stats: each OpenMP thread of each NUMA team is a
-        # worker; thread 0 of every team is its driver (the rank process
-        # for the very first team of each node).
-        for ctx in world.contexts:
-            node = ctx.node
-            node_keys = sorted(k for k in teams if k[0] == node)
-            for key in node_keys:
-                team = teams[key]
                 thread_processes = [team.driver_process, *team.threads]
-                executed, grabs = self._team_thread_stats(team)
                 for tid, process in enumerate(thread_processes):
                     run.record_worker(
-                        name=f"n{node}.s{key[1]}.m{key[2]}.t{tid}",
+                        name=f"{team.name}.t{tid}",
                         node=node,
                         finish_time=finish_times[node],
                         process=process,
                         n_chunks=grabs.get(tid, 0),
                         n_iterations=executed.get(tid, 0),
                     )
+        all_teams = [team for node_teams in teams.values() for team in node_teams]
         run.counters["global_atomics"] = queue.window.n_atomics
         run.counters["remote_atomics"] = queue.window.n_remote_atomics
-        run.counters["omp_phases"] = sum(len(t.phases) for t in teams.values())
-        run.counters["omp_grabs"] = sum(
-            t.stats()["total_grabs"] for t in teams.values()
-        )
-        run.counters["omp_outer_rounds"] = outer_rounds[0]
-        run.counters["omp_inner_rounds"] = inner_rounds[0]
+        run.counters["omp_phases"] = sum(len(t.phases) for t in all_teams)
+        run.counters["omp_grabs"] = sum(t.stats()["total_grabs"] for t in all_teams)
+        for nest, count in zip(nesting, rounds):
+            run.counters[nest.counter] = count
 
     # ------------------------------------------------------------------
     def _selffetch_main(self, run, ctx, queue, team, omp_spec, body_time):

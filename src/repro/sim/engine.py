@@ -644,69 +644,10 @@ class Simulator:
     # ------------------------------------------------------------------
     # engine internals
     # ------------------------------------------------------------------
-    def _schedule_resume(self, process: Process, value: Any, delay: float = 0.0) -> None:
-        if delay == 0.0:
-            # Fast lane: resumes at the current time keep FIFO order, so
-            # a deque append replaces an O(log n) heap push.
-            self._ready.append((next(self._seq), process, value))
-        else:
-            heapq.heappush(
-                self._heap, (self.now + delay, next(self._seq), process, value)
-            )
-
-    def _step(self, process: Process, value: Any) -> None:
-        """Resume ``process`` with ``value`` and interpret its next command.
-
-        Compatibility shim: the hot loop in :meth:`run` inlines this
-        logic; ``_step`` remains for callers that drive one resume at a
-        time (debuggers, tests).  Unlike :meth:`run` it schedules
-        through :meth:`_schedule_resume` and never touches heap entries
-        of other events.
-        """
-        if not process.alive:
-            return
-        while True:
-            try:
-                command = process.send(value)
-            except StopIteration as stop:
-                self._finish(process, stop.value)
-                return
-            except ProcessFailure:
-                raise
-            except BaseException as exc:  # noqa: BLE001 - deliberate wrap
-                process.alive = False
-                process.end_time = self.now
-                raise ProcessFailure(process, exc) from exc
-
-            code = _COMMAND_KINDS.get(command.__class__)
-            if code is None:
-                code = _resolve_command_kind(command.__class__)
-            if code == _KIND_DELAY:
-                process._account(command)
-                if command.duration == 0.0:
-                    value = None
-                    continue
-                self._schedule_resume(process, None, command.duration)
-                return
-            if code == _KIND_EVENT:
-                if command._sim is None:
-                    command.bind(self)
-                if command.triggered:
-                    value = command.value
-                    continue
-                command.add_waiter(process)
-                return
-            if code == _KIND_SPAWN:
-                child = self.spawn(command.factory(), name=command.name)
-                value = child
-                continue
-            if code == _KIND_HALT:
-                self._halted = command.reason or "halted"
-                return
-            raise TypeError(
-                f"process {process.name!r} yielded unsupported command "
-                f"{command!r} of type {type(command).__name__}"
-            )
+    def _schedule_resume(self, process: Process, value: Any) -> None:
+        # Fast lane: resumes at the current time keep FIFO order, so a
+        # deque append replaces an O(log n) heap push.
+        self._ready.append((next(self._seq), process, value))
 
     def _finish(self, process: Process, result: Any) -> None:
         if process.killed:

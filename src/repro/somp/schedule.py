@@ -7,6 +7,12 @@ exist only in the research LaPeSD-libGOMP runtime [31] — which is
 exactly why the paper's Figures 4-7 have no MPI+OpenMP series for
 ``X+TSS`` and ``X+FAC2``.  The ``extensions`` flag reproduces that
 restriction.
+
+A schedule carves one MPI rank's chunk among that rank's OpenMP
+threads; chunk sizes count loop iterations and thread ids index the
+team (0 is the rank process itself).  Nothing here is priced: the
+seconds a schedule costs come from
+:class:`repro.cluster.costs.OmpCosts`.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ class ScheduleSpec:
 
     @property
     def is_extension(self) -> bool:
+        """Only the LaPeSD-libGOMP runtime provides this schedule kind."""
         return self.kind in EXTENSION_KINDS
 
     @property

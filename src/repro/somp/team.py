@@ -15,6 +15,9 @@ Three execution styles:
 * :meth:`parallel_region_selffetch` — the paper's Section 6 future-work
   variant: a single region in which every thread fetches new MPI chunks
   itself under a serialising mutex (``MPI_THREAD_SERIALIZED``-style).
+
+All times (``body_time`` results, fork, grab and barrier costs) are
+simulated seconds.
 """
 
 from __future__ import annotations
@@ -125,10 +128,10 @@ class OmpTeam:
         ]
         #: completed phases, for stats inspection
         self.phases: List[_Phase] = []
-        #: the simulated process acting as this team's thread 0, when it
-        #: is not the MPI rank process itself — nested three-level runs
-        #: drive each socket team from a dedicated *socket driver*
-        #: process and record it here for per-thread stats
+        #: the simulated process acting as this team's thread 0, set by
+        #: the execution model for per-thread stats: the rank process
+        #: for the node's first team, a nested-worksharing driver
+        #: process for every other team
         self.driver_process: Optional[Process] = None
 
     # ------------------------------------------------------------------

@@ -99,10 +99,34 @@ def test_mpi_mpi_adaptive_any_level_covers(wl, stack, nodes, sockets, numa, seed
     check_level_invariants(result, wl.n)
 
 
+#: the OpenMP counters every mpi+openmp run reports, per stack depth
+OMP_COUNTERS = {
+    2: {"omp_phases", "omp_grabs"},
+    3: {"omp_phases", "omp_grabs", "omp_outer_rounds"},
+    4: {"omp_phases", "omp_grabs", "omp_outer_rounds", "omp_inner_rounds"},
+}
+
+
+def check_omp_counters(result, depth: int) -> None:
+    """One worksharing round per chunk of the level above each team tier.
+
+    Every chunk handed to a nested group opens one round there, and
+    every chunk handed to a leaf team is one ``parallel_for`` phase.
+    """
+    counters = result.counters
+    assert {k for k in counters if k.startswith("omp_")} == OMP_COUNTERS[depth]
+    if depth >= 3:
+        assert counters["omp_outer_rounds"] == len(result.level_chunks[0])
+    if depth == 4:
+        assert counters["omp_inner_rounds"] == len(result.level_chunks[1])
+    assert counters["omp_phases"] == len(result.level_chunks[-2])
+
+
 @given(
     wl=workloads,
     inter=st.sampled_from(TECHNIQUES),
-    mid=st.sampled_from(TECHNIQUES),
+    # None drops the socket level: the depth-2 case
+    mid=st.sampled_from(TECHNIQUES + [None]),
     leaf=st.sampled_from(["STATIC", "SS", "GSS", "TSS", "FAC2"]),
     nodes=st.integers(min_value=1, max_value=3),
     sockets=st.sampled_from([1, 2]),
@@ -112,12 +136,14 @@ def test_mpi_mpi_adaptive_any_level_covers(wl, stack, nodes, sockets, numa, seed
 def test_mpi_openmp_three_level_covers_and_nests(
     wl, inter, mid, leaf, nodes, sockets, seed
 ):
+    stack = [inter, leaf] if mid is None else [inter, mid, leaf]
     result = run_hierarchical(
         wl, homogeneous(nodes, 4, sockets_per_node=sockets),
-        inter=f"{inter}+{mid}+{leaf}", approach="mpi+openmp", ppn=4, seed=seed,
+        inter="+".join(stack), approach="mpi+openmp", ppn=4, seed=seed,
     )
     check_level_invariants(result, wl.n)
-    assert len(result.level_chunks) == 3
+    assert len(result.level_chunks) == len(stack)
+    check_omp_counters(result, len(stack))
 
 
 @given(
@@ -144,6 +170,7 @@ def test_mpi_openmp_four_level_covers_and_nests(
     )
     check_level_invariants(result, wl.n)
     assert len(result.level_chunks) == 4
+    check_omp_counters(result, 4)
 
 
 @given(

@@ -147,7 +147,12 @@ def test_mpi_openmp_rejects_unmappable_depths(stack):
         )
 
 
-def test_nowait_selffetch_rejects_three_level_stacks():
+@pytest.mark.parametrize(
+    "levels",
+    [("GSS", "FAC2", "STATIC"), ("GSS", "FAC2", "SS", "STATIC")],
+    ids=["depth3", "depth4"],
+)
+def test_nowait_selffetch_rejects_three_level_stacks(levels):
     """Ablation A-3 (nowait self-fetch) is a two-level protocol; it must
     refuse deeper stacks rather than silently running barrier-style."""
     from repro.core.hierarchy import HierarchicalSpec
@@ -156,8 +161,8 @@ def test_nowait_selffetch_rejects_three_level_stacks():
     wl = uniform_workload(100, seed=28)
     with pytest.raises(ValueError, match="nowait self-fetch.*two-level"):
         MpiOpenMpModel(nowait_selffetch=True).run(
-            wl, homogeneous(2, 8, sockets_per_node=2),
-            HierarchicalSpec.of_levels("GSS", "FAC2", "STATIC"), ppn=8,
+            wl, homogeneous(2, 8, sockets_per_node=2, numa_per_socket=2),
+            HierarchicalSpec.of_levels(*levels), ppn=8,
         )
 
 

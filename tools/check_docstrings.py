@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docstring-check the ``repro.cluster`` machine-model modules and the
-engine, MPI-window, model-scaffolding and cell-cache modules listed in
-``CHECKED_MODULES``.
+engine, MPI-window, execution-model, OpenMP and cell-cache modules
+listed in ``CHECKED_MODULES``.
 
 The cluster layer is the package's public vocabulary for hardware,
 costs and placement, so its API documentation must not rot.  This
@@ -46,9 +46,12 @@ CHECKED_MODULES = [
     "src/repro/experiments/parallel.py",
     "src/repro/models/base.py",
     "src/repro/models/dcc.py",
+    "src/repro/models/mpi_openmp.py",
     "src/repro/sim/cohorts.py",
     "src/repro/smpi/rma.py",
     "src/repro/smpi/shm.py",
+    "src/repro/somp/schedule.py",
+    "src/repro/somp/team.py",
 ]
 
 #: every checked module's docstring corpus must state these conventions
