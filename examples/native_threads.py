@@ -12,6 +12,7 @@ Run:  python examples/native_threads.py
 
 import numpy as np
 
+from repro.cluster.machine import NodeSpec
 from repro.core.hierarchy import HierarchicalSpec
 from repro.native import NativeRunner
 from repro.workloads import mandelbrot_workload
@@ -28,8 +29,11 @@ def main() -> None:
     print(f"flat GSS:          {flat.wall_seconds:.3f}s wall, "
           f"{len(flat.chunks)} chunks across {flat.n_workers} threads")
 
-    # (b) hierarchical: 2 groups x 4 threads, GSS over groups, FAC2 inside
-    hier = runner.run_hierarchical(HierarchicalSpec.of("GSS", "FAC2"), n_groups=2)
+    # (b) hierarchical on a dual-socket 8-core node: one group of 4
+    # threads per socket, GSS over the sockets, FAC2 inside each
+    hier = runner.run_hierarchical(
+        HierarchicalSpec.of("GSS", "FAC2"), topology=NodeSpec(cores=8, sockets=2)
+    )
     print(f"hierarchical GSS+FAC2: {hier.wall_seconds:.3f}s wall, "
           f"{len(hier.chunks)} sub-chunks")
 

@@ -5,6 +5,12 @@ Wraps the execution models behind two functions so that the common case
 is a single call.  Imports of the heavier layers happen lazily so that
 ``import repro`` stays cheap for users who only need the technique
 calculators.
+
+Unit convention: every time — ``max_sim_time``, fault times, the
+returned ``parallel_time`` — is in simulated seconds.  Index
+convention: ``ppn`` ranks run on each node, and ranks are global
+(``0 .. nodes*ppn-1``) wherever an argument names one — an explicit
+placement map's window homes, a fault event's victim.
 """
 
 from __future__ import annotations
@@ -63,7 +69,6 @@ def run_hierarchical(
     placement: Any = "leader",
     faults: Union[str, Any, None] = None,
     max_sim_time: Optional[float] = None,
-    dcc: bool = False,
     engine: str = "scalar",
     **spec_kwargs: Any,
 ) -> "RunResult":
@@ -121,11 +126,6 @@ def run_hierarchical(
         not completed by then raises
         :class:`repro.sim.engine.SimulationTimeout` with diagnostics
         instead of spinning forever.
-    dcc:
-        Run the given mpi+mpi level stack in dCC mode: same composed
-        chunk schedule, but dispensed from the single global counter
-        instead of the hierarchical queues (equivalent to
-        ``approach="dcc"``; only valid with the mpi+mpi approach).
     engine:
         Event-execution strategy: ``"scalar"`` (default — one simulated
         process per rank) or ``"cohort"`` (the rank-aggregated
@@ -151,15 +151,6 @@ def run_hierarchical(
     spec = HierarchicalSpec.of_levels(
         *split_stack(inter), *split_stack(intra), **spec_kwargs
     )
-    if dcc:
-        resolved = _resolve_model(approach)
-        if resolved.name not in ("mpi+mpi", "dcc"):
-            raise ValueError(
-                f"dcc=True reroutes an mpi+mpi level stack through the "
-                f"distributed-chunk-calculation model; it does not apply "
-                f"to approach={approach!r}"
-            )
-        approach = "dcc"
     model = _resolve_model(approach)
     return model.run(
         workload=workload,

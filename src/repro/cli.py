@@ -20,7 +20,7 @@ Examples::
               # (… FAC2 across each socket's NUMA domains, STATIC
               #  across each NUMA domain's cores)
     repro run --techniques GSS+FAC2+FAC2+ADAPT --sockets 2 --numa 2 \
-              --nodes 4 --ppn 16 --numa-costs
+              --nodes 4 --ppn 16 --costs numa
               # ADAPT leaf: runtime-selected SS/FAC2/GSS per NUMA
               # queue, under the non-zero NUMA/socket penalty preset
     repro run --techniques "GSS+ADAPT[ss,fac2,tss]" --nodes 4 --ppn 16
@@ -40,8 +40,7 @@ Examples::
               # distributed chunk calculation: the stack is flattened
               # ahead of time, every rank fetch-and-increments one
               # global counter and resolves its chunk locally (no
-              # coordinator, no queues); --dcc reroutes an mpi+mpi
-              # stack the same way
+              # coordinator, no queues)
     repro serve --port 8752 --jobs 4 --cache-dir .cellcache
               # sweep-as-a-service: accept sweep specs as JSON
               # (POST /sweep), dedupe concurrent duplicates against the
@@ -160,13 +159,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         inter, intra = args.techniques, None
     else:
         inter, intra = args.inter, args.intra
-    preset = args.costs
-    if args.numa_costs:
-        if preset not in (None, "numa"):
-            print("--numa-costs conflicts with --costs; pick one")
-            return 2
-        preset = "numa"  # legacy alias for --costs numa
-    costs = COST_PRESETS[preset or "default"]
+    costs = COST_PRESETS[args.costs or "default"]
     result = run_hierarchical(
         workload,
         minihpc(
@@ -186,7 +179,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         placement=args.placement,
         faults=args.faults,
         max_sim_time=args.max_sim_time,
-        dcc=args.dcc,
         engine=args.engine,
         noise=noise,
     )
@@ -300,11 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "flat-mpi, master-worker, or dcc (distributed "
                         "chunk calculation: one global counter, chunks "
                         "resolved locally from the flattened stack)")
-    p.add_argument("--dcc", action="store_true",
-                   help="run the given mpi+mpi level stack in dCC mode "
-                        "(same composed schedule, dispensed from the "
-                        "single global counter; shorthand for "
-                        "--approach dcc)")
     p.add_argument("--engine", default="scalar",
                    choices=["scalar", "cohort"],
                    help="execution engine: scalar replays every rank as "
@@ -348,8 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "'calibrated' (penalties derived from published "
                         "STREAM/Intel-MLC latency ratios; see "
                         "docs/PLACEMENT.md)")
-    p.add_argument("--numa-costs", action="store_true",
-                   help="legacy alias for --costs numa")
     p.add_argument("--placement", default="leader",
                    choices=["leader", "optimized"],
                    help="work-queue window homes (mpi+mpi): 'leader' pins "

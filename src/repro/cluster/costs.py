@@ -201,7 +201,7 @@ class CostModel:
 DEFAULT_COSTS = CostModel()
 
 #: Documented non-zero locality preset (used by ``BENCH_PR4.json`` and
-#: the ``repro run --numa-costs`` CLI flag): remote-NUMA loads cost
+#: the ``repro run --costs numa`` CLI preset): remote-NUMA loads cost
 #: about two thirds of a local shared access extra, remote-NUMA atomics
 #: roughly double, and crossing the socket adds a UPI-link hop on top.
 #: Magnitudes follow published Xeon remote-NUMA/QPI latency ratios

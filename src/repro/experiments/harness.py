@@ -6,6 +6,11 @@ on-disk cache (``cache_dir``) — see :mod:`repro.experiments.parallel`.
 Within one process it caches nothing across cells except the workload
 object (which is the expensive part) and collects results into a tidy
 list for the report layer.
+
+Unit convention: a :class:`Cell`'s ``time`` and ``placement_cost`` are
+simulated seconds; ``wall_seconds`` is host seconds.  Index convention:
+a cell is sized by its node *count* and ``ppn`` ranks per node; no
+node index or rank identifies a cell.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ class Cell:
 
     @property
     def label(self) -> str:
+        """The full ``+``-joined technique stack, e.g. ``"GSS+STATIC"``."""
         return f"{self.inter}+{self.intra}"
 
     def to_dict(self) -> Dict[str, object]:
@@ -62,6 +68,7 @@ class Cell:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "Cell":
+        """Inverse of :meth:`to_dict`."""
         return cls(**payload)
 
     def same_result(self, other: "Cell") -> bool:
@@ -89,17 +96,15 @@ def simulate_cell(
     costs: Optional[CostModel] = None,
     placement: Union[str, Mapping[Any, int]] = "leader",
     faults: Optional[Any] = None,
-    dcc: bool = False,
     engine: str = "scalar",
 ) -> Cell:
     """Run one cell's simulation (shared by serial path and pool workers).
 
     ``costs`` overrides the cost model (None = package default),
-    ``placement`` the window-home policy, ``faults`` the fault
-    schedule (a :class:`repro.cluster.faults.FaultModel` or None), and
-    ``dcc`` reroutes mpi+mpi stacks through the
-    distributed-chunk-calculation model — all default to the
-    historical behaviour, so pre-existing sweeps are untouched.
+    ``placement`` the window-home policy and ``faults`` the fault
+    schedule (a :class:`repro.cluster.faults.FaultModel` or None) —
+    all default to the historical behaviour, so pre-existing sweeps
+    are untouched.
     ``engine`` selects the execution engine ("scalar" | "cohort").  It
     deliberately does not enter the cell cache key: every sweep cell
     runs under the default ``MILD_NOISE``, which the cohort engine does
@@ -120,7 +125,6 @@ def simulate_cell(
         costs=costs,
         placement=placement,
         faults=faults,
-        dcc=dcc,
         engine=engine,
     )
     wall = time.perf_counter() - t0
@@ -177,9 +181,6 @@ class GridRunner:
     #: fault schedule injected into every cell (None = fault-free);
     #: requires failure-aware approaches — see repro.cluster.faults
     faults: Optional[Any] = None
-    #: reroute every mpi+mpi cell through the distributed-chunk-
-    #: calculation model (same composed schedule, single global counter)
-    dcc: bool = False
     #: execution engine for every cell ("scalar" | "cohort"); not part
     #: of cell_key: sweep cells carry the default MILD_NOISE, which makes
     #: every cell cohort-ineligible, so a cohort sweep falls back to the
@@ -206,7 +207,6 @@ class GridRunner:
             costs=self.costs,
             placement=self.placement,
             faults=self.faults,
-            dcc=self.dcc,
             engine=self.engine,
         )
         self._report(cell)
@@ -261,7 +261,7 @@ class GridRunner:
                 keys[index] = cell_key(
                     fingerprint, cluster, *spec, self.ppn, self.seed,
                     costs=self.costs, placement=self.placement,
-                    faults=self.faults, dcc=self.dcc,
+                    faults=self.faults,
                 )
                 cells[index] = cache.get(keys[index])
                 if cells[index] is not None:
@@ -289,7 +289,6 @@ class GridRunner:
             costs=self.costs,
             placement=self.placement,
             faults=self.faults,
-            dcc=self.dcc,
             engine=self.engine,
         )
 

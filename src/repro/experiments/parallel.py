@@ -17,8 +17,10 @@ GridRunner` uses to exploit that:
   of everything a cell's result depends on (:func:`cell_key`): the
   workload fingerprint (name + cost bytes), the cluster spec, approach,
   inter/intra techniques, node count, ppn, seed, the cost-model
-  override, the window placement, the fault-model signature, the dcc
-  flag, the default cost/noise model signature and the format version.
+  override, the window placement, the fault-model signature, the
+  default cost/noise model signature and the format version.  The dCC
+  execution model is keyed like any other, by its approach name
+  (``"dcc"``).
   A second sweep over the same inputs runs zero simulations; changing
   any input (a different seed, a rescaled workload) changes the digest
   and misses cleanly.
@@ -148,7 +150,7 @@ def _cluster_json(cluster: ClusterSpec) -> str:
 
 
 @functools.lru_cache(maxsize=64, typed=True)
-def _sweep_json(workload_fp, ppn, seed, costs, placement, faults, dcc, models):
+def _sweep_json(workload_fp, ppn, seed, costs, placement, faults, models):
     """The key fields that do not vary within a sweep, as the three runs
     of ``"field":value`` pairs that sit between the per-cell fields in
     sorted-key order.  Memoised by value (frozen dataclasses hash by
@@ -157,9 +159,13 @@ def _sweep_json(workload_fp, ppn, seed, costs, placement, faults, dcc, models):
     def fields(**pairs: object) -> str:
         return _dumps(pairs)[1:-1]
 
+    costs_json = _dumps(None if costs is None else asdict(costs))
+    faults_json = _dumps(None if faults is None else faults.signature())
     return (
-        fields(costs=None if costs is None else asdict(costs), dcc=dcc,
-               faults=None if faults is None else faults.signature()),
+        # "dcc" is the retired v5 reroute flag, now always false (dCC
+        # cells are keyed by approach="dcc"); it stays in the payload so
+        # every key and cache entry written under v6 stays valid
+        f'"costs":{costs_json},"dcc":false,"faults":{faults_json}',
         fields(models=model_signature()),
         fields(placement=placement, ppn=ppn, seed=seed,
                version=CACHE_FORMAT_VERSION, workload=workload_fp),
@@ -178,7 +184,6 @@ def cell_key(
     costs: Optional[CostModel] = None,
     placement: PlacementArg = "leader",
     faults: Optional["FaultModel"] = None,
-    dcc: bool = False,
 ) -> str:
     """Content-addressed cache key for one grid cell.
 
@@ -186,21 +191,22 @@ def cell_key(
     default, whose identity is already folded in via
     :func:`model_signature`); ``placement`` the window-home policy;
     ``faults`` the fault schedule (an *inactive* model keys identically
-    to ``None`` — both produce the fault-free event stream); ``dcc``
-    reroutes mpi+mpi stacks through the distributed-chunk-calculation
-    model (a different protocol, hence part of the key).
+    to ``None`` — both produce the fault-free event stream).  The
+    execution model is named by ``approach`` alone, so a dCC cell
+    (``approach="dcc"``) and an mpi+mpi cell of the same stack key
+    apart.
 
     The payload is the sorted-key compact JSON of all inputs; only the
     per-cell fields are encoded per call (strings quoted as ``json``
     quotes them), the rest is spliced in.
     """
-    costs_dcc_faults, models, placement_to_workload = _sweep_json(
+    costs_to_faults, models, placement_to_workload = _sweep_json(
         workload_fp, ppn, seed, costs, placement_signature(placement),
-        faults, bool(dcc), (DEFAULT_COSTS, MILD_NOISE),
+        faults, (DEFAULT_COSTS, MILD_NOISE),
     )
     payload = (
         f'{{"approach":{_quote(approach)},"cluster":{_cluster_json(cluster)},'
-        f'{costs_dcc_faults},"inter":{_quote(inter)},"intra":{_quote(intra)},'
+        f'{costs_to_faults},"inter":{_quote(inter)},"intra":{_quote(intra)},'
         f'{models},"nodes":{nodes},{placement_to_workload}}}'
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -365,22 +371,20 @@ def _init_worker(
     costs: Optional[CostModel] = None,
     placement: PlacementArg = "leader",
     faults: Optional["FaultModel"] = None,
-    dcc: bool = False,
     engine: str = "scalar",
 ) -> None:
     global _WORKER_CTX
-    _WORKER_CTX = (workload, ppn, seed, costs, placement, faults, dcc, engine)
+    _WORKER_CTX = (workload, ppn, seed, costs, placement, faults, engine)
 
 
 def _run_cell_in_worker(task: Tuple[CellSpec, ClusterSpec]) -> "Cell":
     from repro.experiments.harness import simulate_cell
 
     (approach, inter, intra, nodes), cluster = task
-    workload, ppn, seed, costs, placement, faults, dcc, engine = _WORKER_CTX
+    workload, ppn, seed, costs, placement, faults, engine = _WORKER_CTX
     return simulate_cell(
         workload, cluster, approach, inter, intra, nodes, ppn, seed,
-        costs=costs, placement=placement, faults=faults, dcc=dcc,
-        engine=engine,
+        costs=costs, placement=placement, faults=faults, engine=engine,
     )
 
 
@@ -395,7 +399,6 @@ def run_cells(
     costs: Optional[CostModel] = None,
     placement: PlacementArg = "leader",
     faults: Optional["FaultModel"] = None,
-    dcc: bool = False,
     engine: str = "scalar",
     retries: int = 2,
     retry_backoff: float = 0.1,
@@ -422,8 +425,7 @@ def run_cells(
         spec, cluster = specs[index], clusters[index]
         cell = simulate_cell(
             workload, cluster, *spec, ppn, seed,
-            costs=costs, placement=placement, faults=faults, dcc=dcc,
-            engine=engine,
+            costs=costs, placement=placement, faults=faults, engine=engine,
         )
         if on_result is not None:
             on_result(index, cell)
@@ -440,8 +442,7 @@ def run_cells(
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(specs)),
             initializer=_init_worker,
-            initargs=(shippable, ppn, seed, costs, placement, faults, dcc,
-                      engine),
+            initargs=(shippable, ppn, seed, costs, placement, faults, engine),
         ) as pool:
             futures = {
                 pool.submit(_run_cell_in_worker, task): index

@@ -10,21 +10,27 @@ Two execution modes mirror the paper's architectures on one machine:
   first — exactly the MPI+MPI design with threads standing in for MPI
   processes and a ``threading.Lock`` standing in for ``MPI_Win_lock``.
 
-The hierarchical mode is **topology-aware**: pass ``topology=`` (a
+The hierarchical mode is **topology-aware**: its ``topology=`` (a
 :class:`~repro.cluster.machine.NodeSpec` or
-:class:`~repro.cluster.machine.ClusterSpec`) and the groups are formed
-from the machine's placement — socket/NUMA-contiguous worker blocks,
-one local queue *per machine-tier group* with its own lock, mirroring
+:class:`~repro.cluster.machine.ClusterSpec`) forms the groups from the
+machine's placement — socket/NUMA-contiguous worker blocks, one local
+queue *per machine-tier group* with its own lock, mirroring
 the simulator's per-level queues (per-node, per-socket, per-NUMA
 shared windows).  A depth-``d`` spec then maps onto the machine tiers
 exactly as :class:`repro.models.MpiMpiModel` maps it, so properties
 proven in the simulator transfer to real threaded runs of the same
-stack.  The legacy ``n_groups`` form (flat modular striping) remains
-for untopologised runs.
+stack.
 
 Every grab goes through the same :class:`ChunkCalculator` objects the
 simulator uses, so schedule correctness properties proven in the
 simulator transfer to real executions.
+
+Unit convention: ``wall_seconds`` and per-worker busy times are host
+seconds; ``simulated_lock_penalty_s`` is simulated seconds under the
+run's cost model.  Index convention: worker ``w`` stands in for rank
+``w`` and binds to the ``w``-th core of the topology in placement
+order; group keys are machine paths starting at the node index
+(``(node, socket, numa)``) for a cluster, at the socket for one node.
 """
 
 from __future__ import annotations
@@ -77,26 +83,26 @@ class NativeResult:
     per_worker_busy: Dict[int, float]
     #: concatenated kernel outputs, indexable by iteration (if collected)
     outputs: Optional[Dict[int, Any]] = field(default=None, repr=False)
-    #: topology-aware runs only: leaf tier-group key -> member worker ids
+    #: hierarchical runs only: leaf tier-group key -> member worker ids
     groups: Optional[Dict[GroupKey, List[int]]] = field(default=None, repr=False)
-    #: topology-aware runs only: tier-group key -> deposited (start, size)
+    #: hierarchical runs only: tier-group key -> deposited (start, size)
     #: ranges, in deposit order (every queue tier, not just leaves)
     group_deposits: Optional[Dict[GroupKey, List[Tuple[int, int]]]] = field(
         default=None, repr=False
     )
-    #: topology-aware runs only: tier-group key -> {worker: lock
+    #: hierarchical runs only: tier-group key -> {worker: lock
     #: acquisitions} — how often each worker took each tier queue's lock
     group_lock_acquisitions: Optional[Dict[GroupKey, Dict[int, int]]] = field(
         default=None, repr=False
     )
-    #: topology-aware runs only: the simulated locality cost of those
+    #: hierarchical runs only: the simulated locality cost of those
     #: acquisitions under the run's cost model — each lock grab priced
     #: at the tier-atomic penalty between the worker's core and the
     #: queue's home NUMA domain.  Zero with default (distance-blind)
     #: knobs; under a NUMA-penalty preset this is the number the
     #: flat-vs-per-NUMA queue-placement benchmark compares.
     simulated_lock_penalty_s: Optional[float] = None
-    #: topology-aware runs only: tier-group key -> the (node, socket,
+    #: hierarchical runs only: tier-group key -> the (node, socket,
     #: numa)-style leaf path whose NUMA domain homes that queue's
     #: memory (leader first-touch by default; the ``placement=`` knob
     #: of :meth:`NativeRunner.run_hierarchical` can move it)
@@ -106,6 +112,7 @@ class NativeResult:
 
     @property
     def total_iterations(self) -> int:
+        """Iterations executed across all workers (``n`` on success)."""
         return sum(self.per_worker_iterations.values())
 
     def verify(self, n: int) -> None:
@@ -140,14 +147,12 @@ class _GlobalQueue:
 class _LocalQueue:
     """Per-group queue: the shared-memory local work queue analogue.
 
-    ``parent``/``parent_pe`` wire tier queues into a refill tree for
-    topology-aware runs — ``parent`` is the queue one machine tier up
-    (None when the parent is the global queue) and ``parent_pe`` this
-    queue's child index within it, exactly like the simulator's
-    ``_LocalQueue``.  The legacy flat-striping mode uses a single tier
-    with no parent.  Each queue owns its own lock (the per-tier
-    ``MPI_Win_lock`` analogue) and logs its deposits for the
-    group-containment tests.
+    ``parent``/``parent_pe`` wire tier queues into a refill tree —
+    ``parent`` is the queue one machine tier up (None when the parent
+    is the global queue) and ``parent_pe`` this queue's child index
+    within it, exactly like the simulator's ``_LocalQueue``.  Each
+    queue owns its own lock (the per-tier ``MPI_Win_lock`` analogue)
+    and logs its deposits for the group-containment tests.
     """
 
     def __init__(
@@ -243,104 +248,38 @@ class NativeRunner:
     def run_hierarchical(
         self,
         spec: HierarchicalSpec,
-        n_groups: Optional[int] = None,
         *,
-        topology: Union[NodeSpec, ClusterSpec, None] = None,
+        topology: Union[NodeSpec, ClusterSpec],
         costs: Optional[CostModel] = None,
         placement: Union[str, Dict[GroupKey, Any]] = "leader",
     ) -> NativeResult:
         """Multi-level scheduling: groups with local queues (MPI+MPI style).
 
-        Two group-forming policies:
+        ``topology`` (a :class:`NodeSpec` or :class:`ClusterSpec`) forms
+        the groups: workers bind to machine cores in placement order and
+        one local queue exists per occupied machine-tier group, each
+        with its own lock.  A :class:`NodeSpec` exposes the tiers
+        node -> socket -> numa (the node is the global queue; depth
+        <= 3), a :class:`ClusterSpec` exposes cluster -> node -> socket
+        -> numa (depth <= 4), so a depth-4 ``W+X+Y+Z`` stack runs
+        through the same refill tree as the simulator's
+        :class:`~repro.models.MpiMpiModel`.
 
-        * ``topology=`` (a :class:`NodeSpec` or :class:`ClusterSpec`) —
-          **topology-aware**: workers bind to machine cores in placement
-          order and one local queue exists per occupied machine-tier
-          group, each with its own lock.  A :class:`NodeSpec` exposes
-          the tiers node -> socket -> numa (the node is the global
-          queue; depth <= 3), a :class:`ClusterSpec` exposes
-          cluster -> node -> socket -> numa (depth <= 4), so a depth-4
-          ``W+X+Y+Z`` stack runs through the same refill tree as the
-          simulator's :class:`~repro.models.MpiMpiModel`.
-        * ``n_groups`` — legacy flat modular striping: worker ``w``
-          belongs to group ``w // (n_workers / n_groups)``; only
-          ``spec.inter`` and ``spec.intra`` are used (intermediate
-          levels have no tier to map to).
-
-        ``costs`` (topology mode only) prices the run's tier-queue lock
-        traffic through the simulator's cost model: the result reports
+        ``costs`` prices the run's tier-queue lock traffic through the
+        simulator's cost model: the result reports
         ``simulated_lock_penalty_s``, each lock grab charged the
         tier-atomic penalty between the grabbing worker's core and the
         queue's home NUMA domain — the native-side counterpart of the
         simulator's poll-wait accounting.
 
-        ``placement`` (topology mode only) chooses each queue's home
-        NUMA domain for that pricing: ``"leader"`` (first-touch by the
-        group's first worker, the historical rule), ``"optimized"``
-        (the :mod:`repro.cluster.placement_opt` decision rule — move
-        only when the priced ledger prediction is strictly cheaper), or
-        an explicit ``{group key -> worker index | leaf path}``
-        mapping.  The chosen homes are reported as ``group_homes``.
+        ``placement`` chooses each queue's home NUMA domain for that
+        pricing: ``"leader"`` (first-touch by the group's first worker,
+        the historical rule), ``"optimized"`` (the
+        :mod:`repro.cluster.placement_opt` decision rule — move only
+        when the priced ledger prediction is strictly cheaper), or an
+        explicit ``{group key -> worker index | leaf path}`` mapping.
+        The chosen homes are reported as ``group_homes``.
         """
-        if topology is not None:
-            if n_groups is not None:
-                raise TypeError("pass either n_groups or topology=, not both")
-            return self._run_hierarchical_topology(
-                spec, topology, costs, placement
-            )
-        if not (isinstance(placement, str) and placement == "leader"):
-            raise TypeError("placement= requires topology= (tier-aware groups)")
-        if costs is not None:
-            raise TypeError("costs= requires topology= (tier-aware groups)")
-        if n_groups is None:
-            raise TypeError(
-                "run_hierarchical needs n_groups (flat striping) or "
-                "topology= (socket/NUMA-aware groups)"
-            )
-        if self.n_workers % n_groups != 0:
-            raise ValueError(
-                f"{self.n_workers} workers cannot form {n_groups} equal groups"
-            )
-        group_size = self.n_workers // n_groups
-        inter_calc = spec.inter.make_calculator(
-            self.workload.n, n_groups, rng=np.random.default_rng(0)
-        )
-        queue = _GlobalQueue(inter_calc, self.workload.n)
-        locals_ = [_LocalQueue(spec.intra, group_size) for _ in range(n_groups)]
-
-        def worker_loop(pe: int, record) -> None:
-            group = pe // group_size
-            local_pe = pe % group_size
-            local = locals_[group]
-            while True:
-                with local.lock:
-                    sub = local.take(local_pe)
-                    if sub is None:
-                        if local.global_done:
-                            return
-                        grabbed = queue.next_chunk(group)
-                        if grabbed is None:
-                            local.global_done = True
-                            return
-                        _step, start, size = grabbed
-                        local.deposit(start, size)
-                        sub = local.take(local_pe)
-                        if sub is None:  # pragma: no cover - defensive
-                            continue
-                start, size = sub
-                record(pe, -1, start, size)
-
-        return self._execute("hierarchical", worker_loop)
-
-    # ------------------------------------------------------------------
-    def _run_hierarchical_topology(
-        self,
-        spec: HierarchicalSpec,
-        topology: Union[NodeSpec, ClusterSpec],
-        costs: Optional[CostModel] = None,
-        placement: Union[str, Dict[GroupKey, Any]] = "leader",
-    ) -> NativeResult:
-        """Topology-aware hierarchical mode: placement-derived groups."""
         slots = self._tier_paths(topology)
         if self.n_workers > len(slots):
             raise ValueError(

@@ -6,7 +6,7 @@ the shape of a service.  This package adds the long-lived front end:
 
 * :class:`~repro.service.spec.SweepSpec` — a JSON sweep request
   (workload name/params, cluster shape, approach × technique × nodes
-  grid, seed, costs/placement/faults/dcc — everything
+  grid, seed, costs/placement/faults — everything
   :func:`~repro.experiments.parallel.cell_key` discriminates).
 * :class:`~repro.service.jobs.CellExecutor` — a bounded process pool
   layered under an in-process *in-flight registry*: concurrent requests

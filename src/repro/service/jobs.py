@@ -84,7 +84,6 @@ def run_cell_job(payload: Dict[str, Any]):
         costs=spec.cost_model(),
         placement=spec.placement,
         faults=spec.fault_model(),
-        dcc=spec.dcc,
     )
 
 

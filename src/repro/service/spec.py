@@ -9,6 +9,11 @@ can post them: workloads are named (``{"app": "mandelbrot", "scale":
 :func:`~repro.experiments.parallel.cell_key` discriminates is here, so
 a service cell and a local ``GridRunner`` cell with the same inputs
 share one cache entry.
+
+Unit convention: fault-schedule times (``crash:R@T``) are simulated
+seconds, as are the cost presets' latencies.  Index convention: a cell
+is sized by its node count and ``ppn`` ranks per node; a fault spec's
+``R`` is a global rank.
 """
 
 from __future__ import annotations
@@ -61,7 +66,6 @@ class SweepSpec:
     costs: Optional[str] = None
     placement: str = "leader"
     faults: Optional[str] = None
-    dcc: bool = False
 
     @classmethod
     def from_json(cls, payload: Any) -> "SweepSpec":
@@ -151,8 +155,6 @@ class SweepSpec:
                 FaultModel.parse(faults)
             except ValueError as error:
                 raise SpecError(f"bad 'faults' spec: {error}") from error
-        dcc = payload.get("dcc", False)
-        _require(isinstance(dcc, bool), "'dcc' must be a boolean")
 
         return cls(
             app=app,
@@ -168,7 +170,6 @@ class SweepSpec:
             costs=costs,
             placement=placement,
             faults=faults,
-            dcc=dcc,
         )
 
     # ------------------------------------------------------------------
@@ -225,7 +226,7 @@ class SweepSpec:
             cell_key(
                 fingerprint, self.cluster(nodes), approach, inter, intra,
                 nodes, self.ppn, self.seed,
-                costs=costs, placement=self.placement, faults=faults, dcc=self.dcc,
+                costs=costs, placement=self.placement, faults=faults,
             )
             for approach, inter, intra, nodes in self.grid()
         ]
@@ -243,5 +244,4 @@ class SweepSpec:
             "costs": self.costs,
             "placement": self.placement,
             "faults": self.faults,
-            "dcc": self.dcc,
         }

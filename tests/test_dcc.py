@@ -100,7 +100,7 @@ def test_dcc_counter_accounting():
 
 
 # ---------------------------------------------------------------------------
-# validation and the dcc=True knob
+# validation
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize(
     "technique",
@@ -141,24 +141,6 @@ def test_dcc_rejects_stacks_deeper_than_machine_tiers():
             wl, minihpc(2, 8, sockets_per_node=2, numa_per_socket=2),
             inter="GSS+FAC2+FAC2+FAC2+STATIC", approach="dcc", ppn=8,
         )
-
-
-def test_dcc_knob_reroutes_mpi_mpi_stack():
-    wl = Workload("knob", np.full(200, 1e-4))
-    via_knob = run_hierarchical(wl, minihpc(2, 4), inter="GSS+FAC2",
-                                approach="mpi+mpi", ppn=4, dcc=True)
-    direct = run_hierarchical(wl, minihpc(2, 4), inter="GSS+FAC2",
-                              approach="dcc", ppn=4)
-    assert via_knob.approach == "dcc"
-    assert via_knob.parallel_time == direct.parallel_time
-    assert chunk_set(via_knob) == chunk_set(direct)
-
-
-def test_dcc_knob_rejects_other_approaches():
-    wl = Workload("knob", np.full(100, 1e-4))
-    with pytest.raises(ValueError, match="does not apply"):
-        run_hierarchical(wl, minihpc(2, 4), inter="GSS",
-                         approach="master-worker", ppn=4, dcc=True)
 
 
 # ---------------------------------------------------------------------------
@@ -227,19 +209,6 @@ def test_dcc_optimized_placement_runs_and_reports():
 # ---------------------------------------------------------------------------
 # experiments threading: cache key discrimination + GridRunner field
 # ---------------------------------------------------------------------------
-def test_cell_key_discriminates_dcc():
-    from repro.experiments.parallel import cell_key, workload_fingerprint
-
-    wl = Workload("keys", np.full(100, 1e-4))
-    fp = workload_fingerprint(wl)
-    cluster = minihpc(2, 4)
-    base = cell_key(fp, cluster, "mpi+mpi", "GSS", "SS", 2, 4, 0)
-    assert cell_key(fp, cluster, "mpi+mpi", "GSS", "SS", 2, 4, 0,
-                    dcc=True) != base
-    assert cell_key(fp, cluster, "mpi+mpi", "GSS", "SS", 2, 4, 0,
-                    dcc=False) == base
-
-
 def test_cell_key_discriminates_v6_roster_fields():
     """v6 keys: ladder spellings are distinct cache cells, and the
     format version itself moved past the pre-roster caches."""
@@ -273,25 +242,24 @@ def test_grid_runner_dcc_sweep(tmp_path):
     from repro.experiments.harness import GridRunner
 
     wl = Workload("grid", np.full(300, 1e-4))
-    runner = GridRunner(
-        workload=wl, ppn=4, node_counts=(2,), dcc=True,
-        cache_dir=str(tmp_path),
-    )
-    cells = runner.sweep("GSS", ["SS"], [("mpi+mpi", lambda intra: True)])
+    def sweep(approach):
+        runner = GridRunner(
+            workload=wl, ppn=4, node_counts=(2,), cache_dir=str(tmp_path),
+        )
+        cells = runner.sweep("GSS", ["SS"], [(approach, lambda intra: True)])
+        return runner, cells
+
+    _, cells = sweep("dcc")
     assert len(cells) == 1 and cells[0].time > 0
-    # the cache round-trips under the dcc-aware key
-    again = GridRunner(
-        workload=wl, ppn=4, node_counts=(2,), dcc=True,
-        cache_dir=str(tmp_path),
-    ).sweep("GSS", ["SS"], [("mpi+mpi", lambda intra: True)])
+    assert cells[0].approach == "dcc"
+    # the cache round-trips under the dcc cell's key
+    again_runner, again = sweep("dcc")
+    assert again_runner.last_sweep_stats["cache_hits"] == 1
     assert again[0].same_result(cells[0])
-    # and a non-dcc sweep of the same grid must not be served from it
-    plain = GridRunner(
-        workload=wl, ppn=4, node_counts=(2,), dcc=False,
-        cache_dir=str(tmp_path),
-    )
-    plain_cells = plain.sweep("GSS", ["SS"], [("mpi+mpi", lambda intra: True)])
+    # and an mpi+mpi sweep of the same grid must not be served from it
+    plain, plain_cells = sweep("mpi+mpi")
     assert plain.last_sweep_stats["cache_hits"] == 0
+    assert plain_cells[0].approach == "mpi+mpi"
     assert plain_cells[0].time != cells[0].time
 
 
@@ -303,18 +271,6 @@ def test_cli_approach_dcc(capsys):
 
     code = main([
         "run", "--approach", "dcc", "--techniques", "GSS+FAC2",
-        "--nodes", "2", "--ppn", "4", "--scale", "tiny",
-    ])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "dcc" in out
-
-
-def test_cli_dcc_flag(capsys):
-    from repro.cli import main
-
-    code = main([
-        "run", "--dcc", "--techniques", "GSS+FAC2",
         "--nodes", "2", "--ppn", "4", "--scale", "tiny",
     ])
     out = capsys.readouterr().out

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.cluster.machine import ClusterSpec, NodeSpec, homogeneous
+from repro.api import run_hierarchical
+from repro.cluster.machine import ClusterSpec, NodeSpec, homogeneous, minihpc
 from repro.core.hierarchy import HierarchicalSpec
 from repro.native import NativeRunner
 from repro.workloads import Workload, mandelbrot_workload
@@ -39,15 +40,11 @@ def test_flat_execution_matches_serial(workload, serial, technique):
                                          ("TSS", "STATIC")])
 def test_hierarchical_execution_matches_serial(workload, serial, inter, intra):
     runner = NativeRunner(workload, n_workers=8, collect_outputs=True)
-    result = runner.run_hierarchical(HierarchicalSpec.of(inter, intra), n_groups=2)
+    result = runner.run_hierarchical(
+        HierarchicalSpec.of(inter, intra), topology=NodeSpec(cores=8, sockets=2)
+    )
     result.verify(workload.n)
     assert np.array_equal(assemble(result, workload, serial.dtype), serial)
-
-
-def test_hierarchical_group_divisibility(workload):
-    runner = NativeRunner(workload, n_workers=6)
-    with pytest.raises(ValueError, match="equal groups"):
-        runner.run_hierarchical(HierarchicalSpec.of("GSS", "GSS"), n_groups=4)
 
 
 def test_single_worker(workload, serial):
@@ -178,13 +175,6 @@ def test_topology_partial_occupancy(workload):
 
 def test_topology_rejects_bad_arguments(workload):
     runner = NativeRunner(workload, n_workers=4)
-    with pytest.raises(TypeError, match="not both"):
-        runner.run_hierarchical(
-            HierarchicalSpec.of("GSS", "SS"), n_groups=2,
-            topology=NodeSpec(cores=4),
-        )
-    with pytest.raises(TypeError, match="n_groups .*or"):
-        runner.run_hierarchical(HierarchicalSpec.of("GSS", "SS"))
     with pytest.raises(ValueError, match="oversubscribe"):
         runner.run_hierarchical(
             HierarchicalSpec.of("GSS", "SS"), topology=NodeSpec(cores=2)
@@ -201,15 +191,18 @@ def test_topology_rejects_bad_arguments(workload):
 
 
 def test_topology_matches_flat_striping_when_degenerate(workload):
-    """A 1-socket NodeSpec is one group — identical schedule to the
-    legacy n_groups=1 striping (same calculators, same protocol)."""
+    """A 1-socket NodeSpec is one flat group of workers — the same
+    sub-chunk set as the simulator's mpi+mpi run of the stack on one
+    4-rank node (same calculators, same refill protocol)."""
     spec = HierarchicalSpec.of("GSS", "FAC2")
     runner = NativeRunner(workload, n_workers=4)
     topo = runner.run_hierarchical(spec, topology=NodeSpec(cores=4))
-    legacy = runner.run_hierarchical(spec, n_groups=1)
-    assert topo.total_iterations == legacy.total_iterations == workload.n
+    simulated = run_hierarchical(
+        workload, minihpc(1, 4), "GSS", "FAC2", approach="mpi+mpi", ppn=4
+    )
+    assert topo.total_iterations == workload.n
     assert sorted((c.start, c.size) for c in topo.chunks) == sorted(
-        (c.start, c.size) for c in legacy.chunks
+        (c.start, c.size) for c in simulated.subchunks
     )
 
 
@@ -266,9 +259,3 @@ def test_topology_simulated_lock_cost_reporting(workload):
         costs=DEFAULT_COSTS,
     )
     assert free.simulated_lock_penalty_s == 0.0
-    # legacy striping mode has no topology to price against
-    with pytest.raises(TypeError, match="requires topology"):
-        runner.run_hierarchical(
-            HierarchicalSpec.parse("GSS+SS"), n_groups=2,
-            costs=NUMA_PENALTY_COSTS,
-        )

@@ -429,9 +429,9 @@ def test_native_placement_requires_topology():
     from repro.workloads import mandelbrot_workload
 
     wl = mandelbrot_workload(width=16, height=16, max_iter=16)
-    with pytest.raises(TypeError, match="requires topology"):
+    with pytest.raises(TypeError, match="topology"):
         NativeRunner(wl, n_workers=4).run_hierarchical(
-            Spec.parse("GSS+SS"), n_groups=2, placement="optimized"
+            Spec.parse("GSS+SS"), placement="optimized"
         )
 
 
@@ -453,16 +453,3 @@ def test_cli_placement_and_costs_flags(capsys):
     assert "placement: optimized" in out
     assert "priced queue traffic" in out
 
-
-def test_cli_numa_costs_alias_conflicts_with_costs(capsys):
-    from repro.cli import main
-
-    code = main(
-        [
-            "run", "--techniques", "GSS+STATIC", "--nodes", "2",
-            "--ppn", "4", "--scale", "tiny",
-            "--numa-costs", "--costs", "calibrated",
-        ]
-    )
-    assert code == 2
-    assert "conflicts" in capsys.readouterr().out

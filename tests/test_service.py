@@ -129,7 +129,7 @@ def test_spec_grid_expansion():
     {"placement": "anywhere"},            # unknown policy
     {"faults": "explode:1@now"},          # unparsable fault spec
     {"surprise": 1},                      # unknown field
-    {"dcc": "yes"},                       # non-boolean
+    {"dcc": "yes"},                       # no dcc field: use approach "dcc"
 ])
 def test_spec_rejects_bad_requests(mutation):
     payload = dict(TINY_SWEEP)
@@ -253,6 +253,23 @@ def test_bad_sweep_requests_get_400(server):
     assert "error" in post_raw(json.dumps({"intras": ["SS"]}).encode())
     assert "error" in post_raw(json.dumps(dict(TINY_SWEEP, surprise=1)).encode())
     assert get_json(server, "/metrics")["requests"]["bad"] == 3
+
+
+def test_sweep_with_dcc_flag_gets_400_naming_it(server):
+    """dCC is an approach (``"approaches": ["dcc"]``), not a flag: a
+    body still sending the old boolean is refused."""
+    host, port = server.server_address[:2]
+    payload = dict(TINY_SWEEP)
+    payload["dcc"] = True
+    request = urllib.request.Request(
+        f"http://{host}:{port}/sweep", data=json.dumps(payload).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request)
+    assert excinfo.value.code == 400
+    error = json.loads(excinfo.value.read())["error"]
+    assert "unknown field(s)" in error and "'dcc'" in error
 
 
 def test_unknown_endpoint_404(server):

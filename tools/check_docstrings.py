@@ -43,10 +43,14 @@ CHECKED_MODULES = [
     "src/repro/cluster/noise.py",
     "src/repro/cluster/placement_opt.py",
     "src/repro/cluster/topology.py",
+    "src/repro/api.py",
+    "src/repro/experiments/harness.py",
     "src/repro/experiments/parallel.py",
     "src/repro/models/base.py",
     "src/repro/models/dcc.py",
     "src/repro/models/mpi_openmp.py",
+    "src/repro/native/runner.py",
+    "src/repro/service/spec.py",
     "src/repro/sim/cohorts.py",
     "src/repro/smpi/rma.py",
     "src/repro/smpi/shm.py",
