@@ -42,7 +42,8 @@ def _run_contended_lock() -> int:
         for _ in range(20):
             yield from shm.lock(ctx)
             yield Compute(1e-6)
-            yield from shm.unlock(ctx)
+            yield shm.unlock(ctx)
+            shm.release(ctx)
 
     world.run(main)
     return shm.n_acquisitions

@@ -324,8 +324,10 @@ class _Run:
 
     # -- recording --------------------------------------------------------
     def record_chunk(self, step: int, start: int, size: int, pe: int) -> None:
+        # Chunk is built positionally here and below: one record per
+        # executed (sub-)chunk, and the keyword form is measurably slower
         if self.collect_chunks:
-            self.chunks.append(Chunk(step=step, start=start, size=size, pe=pe))
+            self.chunks.append(Chunk(step, start, size, pe))
 
     def record_level_chunk(
         self, level: int, step: int, start: int, size: int, pe: int
@@ -341,13 +343,13 @@ class _Run:
             self.record_chunk(step, start, size, pe)
         elif self.collect_chunks:
             self.mid_chunks.setdefault(level, []).append(
-                Chunk(step=step, start=start, size=size, pe=pe)
+                Chunk(step, start, size, pe)
             )
 
     def record_subchunk(self, step: int, start: int, size: int, pe: int) -> None:
         self.executed_iterations += size
         if self.collect_chunks:
-            self.subchunks.append(Chunk(step=step, start=start, size=size, pe=pe))
+            self.subchunks.append(Chunk(step, start, size, pe))
 
     def record_worker(
         self,

@@ -41,7 +41,7 @@ dies.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core import trace as trace_mod
 from repro.models.base import ExecutionModel, _Run, run_world
@@ -124,10 +124,10 @@ def _flatten_schedule(run: _Run, world: MpiWorld) -> List[Tuple[int, int]]:
     level independently carves every parent chunk with a fresh
     calculator over (chunk size, tier fanout) — exactly the carving a
     hierarchical run performs at deposit time, minus the dynamic
-    assignment.  Inner calculators for equal (technique, size, fanout)
-    triples hit the process-wide memoised sequence cache, so flattening
-    a large loop costs one unrolling per *distinct* chunk size, not one
-    per chunk.
+    assignment.  Each level carves every *distinct* parent size once
+    and reuses the carving for all parent chunks of that size, so an
+    ``SS+SS`` loop builds one leaf calculator instead of one per
+    iteration.
     """
     for index, level in enumerate(run.spec.levels):
         technique = level.technique
@@ -142,37 +142,55 @@ def _flatten_schedule(run: _Run, world: MpiWorld) -> List[Tuple[int, int]]:
     segments: List[Tuple[int, int]] = [(0, run.workload.n)]
     for index, fanout in enumerate(fanouts):
         level = run.spec.levels[index]
+        rng = run.sim.rng(f"dcc-rnd.l{index}")
+        #: parent size -> its carving as a list of chunk sizes; every
+        #: technique here is deterministic, so equal parents carve alike
+        pieces: Dict[int, List[int]] = {}
         carved: List[Tuple[int, int]] = []
         for start, size in segments:
-            calc = level.make_calculator(
-                size,
-                fanout,
-                rng=run.sim.rng(f"dcc-rnd.l{index}"),
-                chunk_overhead=run.costs.chunk_calc,
-            )
-            if not calc.deterministic:
-                raise ValueError(
-                    f"dcc requires deterministic chunk sequences; "
-                    f"{level.technique.name!r} at level {index} is not"
+            sizes = pieces.get(size)
+            if sizes is None:
+                sizes = pieces[size] = _carve(
+                    level, index, size, fanout, rng, run.costs.chunk_calc
                 )
-            # Sequential size_at unroll rather than calc.sequence():
-            # min-chunk wrapped calculators are consumed step by step.
             offset = start
-            end = start + size
-            step = 0
-            while offset < end:
-                nominal = calc.size_at(step)
-                if nominal <= 0:
-                    raise ValueError(
-                        f"{level.technique.name!r} returned size {nominal} "
-                        f"at step {step} with {end - offset} iterations left"
-                    )
-                chunk = min(nominal, end - offset)
+            for chunk in sizes:
                 carved.append((offset, chunk))
                 offset += chunk
-                step += 1
         segments = carved
     return segments
+
+
+def _carve(
+    level, index: int, size: int, fanout: int, rng, chunk_overhead: float
+) -> List[int]:
+    """Chunk sizes of one ``size``-iteration parent chunk at scheduling
+    level ``index`` with ``fanout`` children."""
+    calc = level.make_calculator(
+        size, fanout, rng=rng, chunk_overhead=chunk_overhead
+    )
+    if not calc.deterministic:
+        raise ValueError(
+            f"dcc requires deterministic chunk sequences; "
+            f"{level.technique.name!r} at level {index} is not"
+        )
+    # Sequential size_at unroll rather than calc.sequence():
+    # min-chunk wrapped calculators are consumed step by step.
+    sizes: List[int] = []
+    left = size
+    step = 0
+    while left > 0:
+        nominal = calc.size_at(step)
+        if nominal <= 0:
+            raise ValueError(
+                f"{level.technique.name!r} returned size {nominal} "
+                f"at step {step} with {left} iterations left"
+            )
+        chunk = min(nominal, left)
+        sizes.append(chunk)
+        left -= chunk
+        step += 1
+    return sizes
 
 
 class DccModel(ExecutionModel):
@@ -228,42 +246,40 @@ class DccModel(ExecutionModel):
             if plan is not None:
                 host = plan.global_host
         window = world.create_window(host, {"step": 0})
-        chunk_calc_cost = run.costs.chunk_calc
+        calc_delay = Overhead(run.costs.chunk_calc)
         claims_on = run.faults_active
         finish_times = {}
         chunk_counts = {}
         iter_counts = {}
 
-        def next_step(ctx: RankCtx):
-            """Fetch-and-increment the counter; claim inside the atomic."""
+        def worker(ctx: RankCtx):
+            sim = run.sim
+            rank = ctx.rank
+            committed = None
             if claims_on:
-                rank = ctx.rank
 
                 def committed(old: int) -> None:
+                    """Claim the fetched step's range inside the atomic."""
                     if old < n_steps:
                         run.claim(rank, old, starts[old], sizes[old])
 
-                step = yield from window.fetch_and_op(
-                    ctx, "step", 1, on_commit=committed
-                )
-            else:
-                step = yield from window.fetch_and_op(ctx, "step", 1)
-            yield Overhead(chunk_calc_cost)
-            return step
-
-        def worker(ctx: RankCtx):
             n_chunks = 0
             n_iters = 0
             while True:
-                t_obtain = run.sim.now
+                t_obtain = sim.now
                 if claims_on and run.orphans:
                     # adopt a dead rank's reclaimed range (claim before
                     # the bookkeeping read so it cannot be lost twice)
                     step, start, size = run.orphans.pop(0)
-                    run.claim(ctx.rank, step, start, size)
+                    run.claim(rank, step, start, size)
                     yield from window.get(ctx, "step")
                 else:
-                    step = yield from next_step(ctx)
+                    # fetch-and-increment the counter, then resolve the
+                    # step locally
+                    step = yield from window.fetch_and_op(
+                        ctx, "step", 1, on_commit=committed
+                    )
+                    yield calc_delay
                     if step >= n_steps:
                         if (
                             not claims_on
@@ -275,23 +291,23 @@ class DccModel(ExecutionModel):
                         yield Timeout(run.costs.mpi.shm_poll_interval)
                         continue
                     start, size = starts[step], sizes[step]
-                if run.trace is not None and run.sim.now > t_obtain:
+                if run.trace is not None and sim.now > t_obtain:
                     run.trace.add(
-                        ctx.name(), t_obtain, run.sim.now, trace_mod.OBTAIN
+                        ctx.name(), t_obtain, sim.now, trace_mod.OBTAIN
                     )
-                run.record_chunk(step, start, size, pe=ctx.rank)
+                run.record_chunk(step, start, size, pe=rank)
                 duration = run.exec_time(start, size, ctx.node, ctx.core)
-                t0 = run.sim.now
+                t0 = sim.now
                 yield ComputeOnce(duration)  # jittered: unique per chunk
                 if run.trace is not None:
-                    run.trace.add(ctx.name(), t0, run.sim.now, trace_mod.COMPUTE)
-                run.record_subchunk(step, start, size, pe=ctx.rank)
-                run.release_claim(ctx.rank, step, start, size)
+                    run.trace.add(ctx.name(), t0, sim.now, trace_mod.COMPUTE)
+                run.record_subchunk(step, start, size, pe=rank)
+                run.release_claim(rank, step, start, size)
                 n_chunks += 1
                 n_iters += size
-            finish_times[ctx.rank] = run.sim.now
-            chunk_counts[ctx.rank] = n_chunks
-            iter_counts[ctx.rank] = n_iters
+            finish_times[rank] = sim.now
+            chunk_counts[rank] = n_chunks
+            iter_counts[rank] = n_iters
 
         def recover(dead_rank: int):
             """Re-host the counter if its host died; orphan the victim's

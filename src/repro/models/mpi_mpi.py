@@ -46,6 +46,12 @@ tiers cluster -> node -> socket -> numa -> core:
   numa -> socket -> node -> global.
 
 A spec deeper than the machine's tier count raises ``ValueError``.
+
+Conventions: every simulated time and cost is in seconds.  Workers are
+MPI ranks; a tier queue is keyed by its node index (tier 1), a
+``(node, socket)`` pair (tier 2) or a ``(node, socket, numa)`` triple
+(tier 3), and a rank's child index within its leaf queue is its
+local, socket or NUMA rank.
 """
 
 from __future__ import annotations
@@ -328,16 +334,16 @@ class MpiMpiModel(ExecutionModel):
         iter_counts = {}
 
         def worker(ctx: RankCtx):
+            # the rank's process runs its loop generator directly: no
+            # pass-through frame between the engine and the loop
             if depth == 1:
-                yield from self._flat_worker_loop(
+                return self._flat_worker_loop(
                     run, ctx, queue, finish_times, chunk_counts, iter_counts,
                 )
-            else:
-                leaf, child = self._leaf_of(run, world, local_queues, ctx, depth)
-                yield from self._worker_loop(
-                    run, ctx, leaf, child, finish_times,
-                    chunk_counts, iter_counts,
-                )
+            leaf, child = self._leaf_of(run, world, local_queues, ctx, depth)
+            return self._worker_loop(
+                run, ctx, leaf, child, finish_times, chunk_counts, iter_counts,
+            )
 
         recover = self._make_recover(run, world, queue, local_queues, depth)
         processes = run_world(run, world, worker, recover=recover)
@@ -592,29 +598,39 @@ class MpiMpiModel(ExecutionModel):
     def _take_from(self, run: _Run, ctx: RankCtx, q: _LocalQueue, child: int):
         """Take the next sub-chunk from ``q`` (generator).
 
-        Returns ``(head, start, size)`` or None once the queue is dry
-        *and* no ancestor can supply more work.  When the queue is dry
-        but live, the caller refills it in place — holding the window
-        lock across the parent fetch (paper Fig. 1 steps 1-2): other
-        local processes keep polling the lock meanwhile instead of
+        Returns ``(head, start, size, step)`` or None once the queue is
+        dry *and* no ancestor can supply more work.  When the queue is
+        dry but live, the caller refills it in place — holding the
+        window lock across the parent fetch (paper Fig. 1 steps 1-2):
+        other local processes keep polling the lock meanwhile instead of
         waiting for a designated coordinator.  The parent fetch recurses
         through the tier queues up to the global RMA queue.
+
+        The window epoch is spelled out step by step (see
+        :class:`~repro.smpi.shm.SharedWindow`): each step returns its
+        priced delay and this frame yields it, so an uncontended epoch
+        adds no generator frame below this one.
         """
         shm = q.shm
         while True:
-            yield from shm.lock(ctx)
-            yield from shm.access(ctx, n=3)  # head pointers + counters
+            prices = shm.attempt(ctx)
+            yield prices[0]
+            if not shm.try_lock(ctx):
+                yield from shm.retry(ctx, prices)
+            yield shm.access(ctx, 3)  # head pointers + counters
             sub = q.take(child)
             if sub is not None:
                 # claim the taken range before the unlock yields: a
                 # crash between take and execution must find it in the
                 # ledger (no-op when faults are off)
                 run.claim(ctx.rank, sub[3], sub[1], sub[2])
-                yield from shm.unlock(ctx)
-                yield from shm.sync(ctx)
+                yield shm.unlock(ctx)
+                shm.release(ctx)
+                yield shm.sync(ctx)
                 return sub
             if shm.cells["global_done"]:
-                yield from shm.unlock(ctx)
+                yield shm.unlock(ctx)
+                shm.release(ctx)
                 return None
             # ---- this process is currently the fastest: refill --------
             if q.parent is None:
@@ -632,7 +648,7 @@ class MpiMpiModel(ExecutionModel):
                 else:
                     head, start, size, step = parent_sub
                     ancestors = ((head.calc, q.parent_pe), *head.ancestors)
-            yield from shm.access(ctx, n=3)
+            yield shm.access(ctx, 3)
             if size > 0:
                 q.deposit(step, start, size, ancestors)
                 # ownership moved from this rank's claim into the queue
@@ -644,8 +660,9 @@ class MpiMpiModel(ExecutionModel):
                     run.claim(ctx.rank, sub[3], sub[1], sub[2])
             else:
                 shm.cells["global_done"] = 1
-            yield from shm.unlock(ctx)
-            yield from shm.sync(ctx)
+            yield shm.unlock(ctx)
+            shm.release(ctx)
+            yield shm.sync(ctx)
             if sub is not None:
                 return sub
             # parent exhausted while we refilled: loop once more to

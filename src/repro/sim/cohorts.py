@@ -606,11 +606,7 @@ def _run_depth2(model, run) -> None:
             _attempt, state = heapq.heappop(nl.heap)
             state.overhead_time += A
             state.attempts += 1
-            shm = nl.shm
-            shm.n_attempts += state.attempts
-            shm.n_acquisitions += 1
-            if state.attempts > shm.max_attempts_per_acquire:
-                shm.max_attempts_per_acquire = state.attempts
+            nl.shm.record_acquisition(state.attempts)
             state.attempts = 0
             nl.holder = state
             nl.check_time = None

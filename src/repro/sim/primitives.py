@@ -43,7 +43,7 @@ class Delay(Command):
     Parameters
     ----------
     duration:
-        Simulated seconds; must be non-negative.
+        Simulated seconds; must be non-negative (NaN is rejected).
     kind:
         How the elapsed time should be accounted for this process.
     """
@@ -51,8 +51,9 @@ class Delay(Command):
     __slots__ = ("duration", "kind")
 
     def __init__(self, duration: float, kind: DelayKind = DelayKind.OVERHEAD):
-        if duration < 0:
-            raise ValueError(f"negative delay: {duration!r}")
+        if not duration >= 0:  # also catches NaN, which compares False
+            kind_of = "negative" if duration < 0 else "NaN"
+            raise ValueError(f"{kind_of} delay: {duration!r}")
         self.duration = float(duration)
         self.kind = kind
 

@@ -5,6 +5,12 @@ minimal: higher-level constructs (MPI window locks with polling, OpenMP
 barriers with modelled costs) are built *on top of* these in
 :mod:`repro.smpi` and :mod:`repro.somp`, keeping the timing models out
 of the core engine.
+
+Conventions: the resources charge no time of their own — a blocked
+caller waits in simulated seconds until another process releases it,
+at the releaser's time.  Owners are free-form tags; the MPI layers use
+``"rank<r>"`` with ``r`` the MPI rank (:attr:`repro.smpi.world.RankCtx.owner`).
+Waiters are indexed by arrival order only, never by rank or node index.
 """
 
 from __future__ import annotations
@@ -40,10 +46,12 @@ class Lock:
 
     @property
     def locked(self) -> bool:
+        """Whether some owner holds the lock."""
         return self._locked
 
     @property
     def n_waiters(self) -> int:
+        """Processes blocked in :meth:`acquire` (FIFO queue length)."""
         return len(self._waiters)
 
     def try_acquire(self, owner: str = "?") -> bool:
@@ -70,6 +78,10 @@ class Lock:
         self.n_acquisitions += 1
 
     def release(self) -> None:
+        """Release the lock, handing it to the oldest live waiter.
+
+        Raises ``RuntimeError`` if the lock is not held.
+        """
         if not self._locked:
             raise RuntimeError(f"release of unlocked {self.name}")
         while self._waiters:
@@ -116,9 +128,12 @@ class Semaphore:
 
     @property
     def value(self) -> int:
+        """Units available without blocking."""
         return self._count
 
     def acquire(self) -> Generator[Command, Any, None]:
+        """Take one unit, blocking FIFO while none is available
+        (generator — use with ``yield from``)."""
         if self._count > 0:
             self._count -= 1
             return
@@ -127,6 +142,7 @@ class Semaphore:
         yield gate
 
     def release(self) -> None:
+        """Return one unit: wake the oldest waiter or bank the unit."""
         if self._waiters:
             self._waiters.popleft().trigger()
         else:
@@ -155,6 +171,9 @@ class Barrier:
         self.generations: List[float] = []
 
     def wait(self) -> Generator[Command, Any, None]:
+        """Arrive and block until all ``parties`` have arrived
+        (generator — use with ``yield from``); the last arrival
+        releases the generation without blocking."""
         self._arrived += 1
         if self._arrived == self.parties:
             gate = self._gate
@@ -188,12 +207,15 @@ class Store:
         return len(self._items)
 
     def put(self, item: Any) -> None:
+        """Deliver ``item`` to the oldest blocked getter, or queue it."""
         if self._getters:
             self._getters.popleft().trigger(item)
         else:
             self._items.append(item)
 
     def get(self) -> Generator[Command, Any, Any]:
+        """Take the oldest item, blocking until one is put
+        (generator — use with ``yield from``); returns the item."""
         if self._items:
             return self._items.popleft()
         gate = self.sim.event(f"{self.name}.get")

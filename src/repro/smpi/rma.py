@@ -150,7 +150,10 @@ class Window:
         )
         if latency_delay is not None:
             yield latency_delay
-        yield from self._unit.acquire(owner=ctx.owner)
+        unit = self._unit
+        if not unit.try_acquire(ctx.owner):
+            # contended: queue FIFO behind the atomic in service
+            yield from unit.acquire(ctx.owner)
         try:
             yield processing_delay
             old = mutate()
@@ -161,7 +164,7 @@ class Window:
             if on_commit is not None:
                 on_commit(old)
         finally:
-            self._unit.release()
+            unit.release()
         if latency_delay is not None:
             yield latency_delay
         return old
@@ -174,13 +177,15 @@ class Window:
         op: str = "sum",
         on_commit=None,
     ):
-        """Atomic read-modify-write; returns the *old* value (generator).
+        """Atomic read-modify-write; returns the :meth:`_priced_atomic`
+        generator, which returns the *old* value.
 
         ``op='no_op'`` gives ``MPI_Get_accumulate`` semantics (atomic
         read).  The calling rank is charged one-way latency, serialised
         processing at the target, and the return latency; see
         :meth:`_priced_atomic` for the timing/accounting protocol and
-        the ``on_commit(old)`` hook.
+        the ``on_commit(old)`` hook.  The cell and the op are checked
+        at call time.
         """
         self._check_cell(cell)
         if op not in _OPS:
@@ -191,13 +196,12 @@ class Window:
             self.cells[cell] = _OPS[op](old, value)
             return old
 
-        old = yield from self._priced_atomic(ctx, mutate, on_commit=on_commit)
-        return old
+        return self._priced_atomic(ctx, mutate, on_commit)
 
     def atomic_get(self, ctx: "RankCtx", cell: str):
-        """Atomic read of a cell (generator)."""
-        old = yield from self.fetch_and_op(ctx, cell, 0, op="no_op")
-        return old
+        """Atomic read of a cell; returns the generator of
+        :meth:`fetch_and_op` with ``op='no_op'``."""
+        return self.fetch_and_op(ctx, cell, 0, op="no_op")
 
     def compare_and_swap(
         self,
@@ -207,7 +211,8 @@ class Window:
         desired: int,
         on_commit=None,
     ):
-        """``MPI_Compare_and_swap``; returns the old value (generator).
+        """``MPI_Compare_and_swap``; returns the :meth:`_priced_atomic`
+        generator, which returns the old value.
 
         The swap commits only when the cell holds ``expected``; either
         way the origin pays the full priced-atomic protocol (see
@@ -224,8 +229,7 @@ class Window:
                 self.cells[cell] = desired
             return old
 
-        old = yield from self._priced_atomic(ctx, mutate, on_commit=on_commit)
-        return old
+        return self._priced_atomic(ctx, mutate, on_commit)
 
     def get(self, ctx: "RankCtx", cell: str, nbytes: int = 8):
         """Non-atomic ``MPI_Get`` of one cell (generator)."""

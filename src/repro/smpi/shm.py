@@ -175,29 +175,72 @@ class SharedWindow:
 
     # ------------------------------------------------------------------
     # locking (the expensive part)
+    #
+    # Hot-path contract: the single-yield steps below are plain methods
+    # that do their checks and accounting and *return* the priced delay,
+    # which the caller yields itself — one generator frame per event.
+    # An exclusive epoch reads:
+    #
+    #     prices = shm.attempt(ctx)
+    #     yield prices[0]
+    #     if not shm.try_lock(ctx):
+    #         yield from shm.retry(ctx, prices)
+    #     yield shm.access(ctx, n)       # any number of times
+    #     yield shm.unlock(ctx)
+    #     shm.release(ctx)
+    #     yield shm.sync(ctx)
+    #
+    # :meth:`lock` is the first three steps as one generator.
     # ------------------------------------------------------------------
     def lock(self, ctx: "RankCtx"):
-        """``MPI_Win_lock(MPI_LOCK_EXCLUSIVE)`` with polling retries.
+        """``MPI_Win_lock(MPI_LOCK_EXCLUSIVE)`` with polling retries
+        (generator): :meth:`attempt`, :meth:`try_lock`, then
+        :meth:`retry` if the first attempt failed."""
+        prices = self.attempt(ctx)
+        yield prices[0]
+        if not self.try_lock(ctx):
+            yield from self.retry(ctx, prices)
 
-        Each attempt costs one lock-attempt message; failed attempts
-        retry after ``shm_poll_interval`` (jittered +-50% so pollers do
-        not stay phase-locked forever).  Polling time is accounted as
+    def attempt(self, ctx: "RankCtx") -> _Prices:
+        """Price and account the first lock-attempt message.
+
+        Each attempt travels to the window's home NUMA domain, so a
+        remote-NUMA or cross-socket requester pays the tier penalty
+        (zero with default knobs).  Returns the rank's prices as of this
+        attempt; the caller yields ``prices[0]`` (the attempt delay)
+        and hands the tuple to :meth:`retry` should the attempt fail,
+        so every retry of one acquisition is priced like its first
+        attempt even if :meth:`fail_over` re-homes the window meanwhile.
+        """
+        prices = self._prices_of(ctx.rank)
+        self.total_penalty_s += prices[4]
+        return prices
+
+    def try_lock(self, ctx: "RankCtx") -> bool:
+        """Complete the first attempt: take the lock if it is free.
+
+        On success the acquisition is recorded as a one-attempt one.
+        """
+        if self._lock.try_acquire(ctx.owner):
+            self.record_acquisition(1)
+            return True
+        return False
+
+    def retry(self, ctx: "RankCtx", prices: _Prices):
+        """Poll until the lock is ours, after a failed first attempt
+        (generator).
+
+        Failed attempts retry after ``shm_poll_interval`` (jittered
+        +-50% so pollers do not stay phase-locked forever), each one
+        more lock-attempt message priced from ``prices`` (those
+        :meth:`attempt` captured).  Polling time is accounted as
         *overhead* — the CPU is busy re-issuing attempts.
         """
         owner = ctx.owner
-        # each lock-attempt message travels to the window's home NUMA
-        # domain, so remote-NUMA/cross-socket requesters pay the tier
-        # penalty per attempt (zero with default knobs)
-        prices = self._prices_of(ctx.rank)
         attempt = prices[0]
         atomic_penalty = prices[4]
-        attempts = 0
+        attempts = 1
         while True:
-            attempts += 1
-            self.total_penalty_s += atomic_penalty
-            yield attempt
-            if self._lock.try_acquire(owner):
-                break
             faults = self.world.faults
             if faults is not None and self._owner_is_dead():
                 # Lease break: the exclusive lock is held by a rank that
@@ -210,26 +253,48 @@ class SharedWindow:
                 if self._owner_is_dead():
                     self._lock.force_release()
                     self.n_leases_broken += 1
-                continue
-            wait = self.next_poll_wait()
-            self.total_poll_wait += wait
-            yield OverheadOnce(wait)  # jittered: unique per retry, skip interning
+            else:
+                wait = self.next_poll_wait()
+                self.total_poll_wait += wait
+                yield OverheadOnce(wait)  # jittered: unique per retry, skip interning
+            attempts += 1
+            self.total_penalty_s += atomic_penalty
+            yield attempt
+            if self._lock.try_acquire(owner):
+                self.record_acquisition(attempts)
+                return
+
+    def record_acquisition(self, attempts: int) -> None:
+        """Account one acquisition that took ``attempts`` lock attempts.
+
+        The single ledger of the lock counters, shared by the scalar
+        protocol above and the cohort engine's deferred lock-poll
+        realisation.
+        """
         self.n_attempts += attempts
         self.n_acquisitions += 1
-        self.max_attempts_per_acquire = max(self.max_attempts_per_acquire, attempts)
+        if attempts > self.max_attempts_per_acquire:
+            self.max_attempts_per_acquire = attempts
 
-    def unlock(self, ctx: "RankCtx"):
-        """``MPI_Win_unlock`` (epoch close: one more message home)."""
+    def unlock(self, ctx: "RankCtx") -> Delay:
+        """``MPI_Win_unlock``: the epoch-closing message home.
+
+        Returns the priced delay; the caller yields it, then calls
+        :meth:`release`.
+        """
         self._require_held(ctx)
         prices = self._prices_of(ctx.rank)
         self.total_penalty_s += prices[4]
-        yield prices[1]
+        return prices[1]
+
+    def release(self, ctx: "RankCtx") -> None:
+        """Drop the lock once the :meth:`unlock` delay has elapsed."""
         self._lock.release()
 
-    def sync(self, ctx: "RankCtx"):
-        """``MPI_Win_sync`` memory barrier."""
+    def sync(self, ctx: "RankCtx") -> Delay:
+        """``MPI_Win_sync`` memory barrier; returns its delay."""
         self.n_syncs += 1
-        yield self._sync
+        return self._sync
 
     def _owner_is_dead(self) -> bool:
         """True when the lock is held by a crash-stopped rank."""
@@ -300,17 +365,18 @@ class SharedWindow:
         yield Overhead(prices[2])
         self.cells[cell] = value
 
-    def access(self, ctx: "RankCtx", n: int = 1):
+    def access(self, ctx: "RankCtx", n: int = 1) -> Delay:
         """Charge ``n`` shared-memory accesses for :attr:`state` reads/writes.
 
         The structured queue contents live in :attr:`state` as Python
         objects; models mutate them directly but must account the
-        touches through this method (and hold the lock).
+        touches through this method (and hold the lock).  Returns the
+        priced delay for the caller to yield.
         """
         self._require_held(ctx)
         prices = self._prices_of(ctx.rank)
         self.total_penalty_s += n * prices[3]
-        yield Overhead(n * prices[2])
+        return Overhead(n * prices[2])
 
     def atomic_fetch_add(self, ctx: "RankCtx", cell: str, value: int):
         """Lock-free shared atomic (``MPI_Fetch_and_op`` on the local

@@ -305,10 +305,15 @@ class OmpTeam:
                 blocks.append((phase.start + block_start, size))
         return blocks
 
-    def _execute(self, phase: _Phase, tid: int, abs_start: int, size: int):
-        duration = phase.body_time(abs_start, size, tid)
-        t0 = self.sim.now
-        yield ComputeOnce(duration)  # jittered: unique per chunk, skip interning
+    def _retire(
+        self, phase: _Phase, tid: int, size: int, duration: float, t0: float
+    ) -> None:
+        """Bookkeeping after thread ``tid`` computed a ``size``-iteration
+        sub-chunk for ``duration`` seconds starting at ``t0``.
+
+        The worksharing loops yield the compute delay themselves (one
+        generator frame per event) and call this once it has elapsed.
+        """
         phase.executed += size
         phase.executed_per_thread[tid] = (
             phase.executed_per_thread.get(tid, 0) + size
@@ -323,24 +328,34 @@ class OmpTeam:
             phase.done_event.trigger()
 
     def _workshare(self, phase: _Phase, tid: int):
+        sim = self.sim
+        body_time = phase.body_time
         omp = self.costs.omp
         yield Overhead(omp.worksharing_init)
         if phase.spec.pinned:
             for abs_start, size in self._static_slices(phase, tid):
                 phase.grabs[tid] = phase.grabs.get(tid, 0) + 1
-                yield from self._execute(phase, tid, abs_start, size)
+                duration = body_time(abs_start, size, tid)
+                t0 = sim.now
+                yield ComputeOnce(duration)  # jittered: unique per chunk
+                self._retire(phase, tid, size, duration, t0)
         else:
+            # atomic capture of the shared counter (+ chunk formula
+            # evaluation for the calculator-based schedules)
+            cost = omp.atomic
+            if phase.calc is not None:
+                cost += self.costs.chunk_calc
+            grab = Overhead(cost)
             while True:
-                # atomic capture of the shared counter (+ chunk formula
-                # evaluation for the calculator-based schedules)
-                cost = omp.atomic
-                if phase.calc is not None:
-                    cost += self.costs.chunk_calc
-                yield Overhead(cost)
+                yield grab
                 grabbed = self._grab(phase, tid)
                 if grabbed is None:
                     break
-                yield from self._execute(phase, tid, *grabbed)
+                abs_start, size = grabbed
+                duration = body_time(abs_start, size, tid)
+                t0 = sim.now
+                yield ComputeOnce(duration)  # jittered: unique per chunk
+                self._retire(phase, tid, size, duration, t0)
         if not phase.nowait:
             yield from self._barrier_wait(phase, tid)
 
@@ -400,7 +415,11 @@ class OmpTeam:
                         f"{self.name}.t{tid}", t0, self.sim.now, trace_mod.OBTAIN
                     )
                 continue
-            yield from self._execute(phase, tid, *grabbed)
+            abs_start, size = grabbed
+            duration = phase.body_time(abs_start, size, tid)
+            t0 = self.sim.now
+            yield ComputeOnce(duration)  # jittered: unique per chunk
+            self._retire(phase, tid, size, duration, t0)
         # one final barrier ends the region
         yield from self._barrier_wait(phase, tid)
 

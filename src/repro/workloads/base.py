@@ -43,6 +43,8 @@ class Workload:
         costs = np.asarray(costs, dtype=np.float64)
         if costs.ndim != 1:
             raise ValueError(f"costs must be 1-D, got shape {costs.shape}")
+        if costs.size and not np.isfinite(costs).all():
+            raise ValueError("iteration costs must be finite (no NaN or inf)")
         if costs.size and costs.min() < 0:
             raise ValueError("iteration costs must be non-negative")
         self.name = name

@@ -170,12 +170,14 @@ def test_dead_lock_holder_lease_is_broken():
         if ctx.rank == 0:
             yield from shm.lock(ctx)
             yield Compute(1.0)  # killed long before this completes
-            yield from shm.unlock(ctx)
+            yield shm.unlock(ctx)
+            shm.release(ctx)
         else:
             yield Timeout(0.002)
             yield from shm.lock(ctx)
             reached.append(ctx.rank)
-            yield from shm.unlock(ctx)
+            yield shm.unlock(ctx)
+            shm.release(ctx)
 
     processes = world.launch(main)
     world.sim.spawn(_kill_at(world, 0, 0.001), name="injector")
@@ -202,7 +204,8 @@ def test_live_holder_lease_is_not_broken():
     def main(ctx):
         yield from shm.lock(ctx)
         yield Compute(1e-4)
-        yield from shm.unlock(ctx)
+        yield shm.unlock(ctx)
+        shm.release(ctx)
 
     world.run(main)
     assert shm.n_leases_broken == 0

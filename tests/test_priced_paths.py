@@ -96,8 +96,9 @@ def test_shared_window_fail_over_charges_the_new_homes_penalties():
 
     def epoch():
         yield from window.lock(ctx)
-        yield from window.access(ctx, n=3)
-        yield from window.unlock(ctx)
+        yield window.access(ctx, n=3)
+        yield window.unlock(ctx)
+        window.release(ctx)
 
     assert net.load_penalty(1, 0) == net.atomic_penalty(1, 0) == 0.0
     assert _overhead_of(world, epoch()) == (
@@ -119,6 +120,33 @@ def test_shared_window_fail_over_charges_the_new_homes_penalties():
         yield from window.atomic_fetch_add(ctx, "c", 1)
 
     assert _overhead_of(world, fetch_add()) == mpi.shm_atomic + atomic
+
+
+def test_lock_retries_keep_the_first_attempts_prices_across_fail_over():
+    """Every retry of one acquisition is priced like its first attempt;
+    a fail-over in between re-prices only the next acquisition."""
+    cluster = homogeneous(1, 8, sockets_per_node=2, numa_per_socket=2)
+    world = _world(cluster)
+    mpi = NUMA_PENALTY_COSTS.mpi
+    window = world.create_shared_window(0, {"c": 0})  # home: rank 0
+    holder, poller = world.contexts[0], world.contexts[1]
+    assert window.try_lock(holder)
+    prices = window.attempt(poller)  # rank 1 shares rank 0's NUMA domain
+    assert prices[0].duration == mpi.shm_lock_attempt
+    assert not window.try_lock(poller)
+
+    window.fail_over(4)  # socket 1: remote NUMA + cross-socket from rank 1
+    window.release(holder)
+    poll_wait, retry = list(window.retry(poller, prices))
+    assert poll_wait.duration == window.total_poll_wait > 0.0
+    assert retry is prices[0]
+    assert window.total_penalty_s == 0.0
+    assert window.contention_stats()["max_attempts"] == 2
+
+    atomic = world.interconnect.atomic_penalty(1, 4)
+    assert atomic > 0.0
+    assert window.unlock(poller).duration == mpi.shm_unlock + atomic
+    assert window.attempt(poller)[0].duration == mpi.shm_lock_attempt + atomic
 
 
 def test_rma_window_fail_over_charges_the_new_hosts_penalties():

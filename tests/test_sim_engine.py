@@ -11,7 +11,7 @@ from repro.sim import (
     Timeout,
 )
 from repro.sim.engine import drain
-from repro.sim.primitives import Delay, Halt, Spawn
+from repro.sim.primitives import ComputeOnce, Delay, Halt, Spawn
 
 
 def test_empty_simulator_runs_to_zero():
@@ -142,6 +142,15 @@ def test_double_trigger_raises():
 def test_negative_delay_rejected():
     with pytest.raises(ValueError, match="negative delay"):
         Delay(-1.0)
+
+
+def test_nan_delay_rejected():
+    # NaN compares False against 0, so a ``< 0`` test let it through and
+    # a NaN-timed event never let the clock advance past it
+    with pytest.raises(ValueError, match="NaN delay"):
+        Delay(float("nan"))
+    with pytest.raises(ValueError, match="NaN delay"):
+        ComputeOnce(float("nan"))
 
 
 def test_process_time_accounting():

@@ -30,7 +30,8 @@ def test_lock_provides_mutual_exclusion():
             yield Compute(1e-6)
             yield from shm.store(ctx, "counter", value + 1)
             critical.append(("out", ctx.rank))
-            yield from shm.unlock(ctx)
+            yield shm.unlock(ctx)
+            shm.release(ctx)
 
     world.run(main)
     # no lost updates
@@ -81,7 +82,8 @@ def test_access_requires_lock_ownership_not_just_held():
         if ctx.rank == 0:
             yield from shm.lock(ctx)
             yield Compute(1e-3)  # hold the lock while rank 1 intrudes
-            yield from shm.unlock(ctx)
+            yield shm.unlock(ctx)
+            shm.release(ctx)
         elif ctx.rank == 1:
             yield Compute(1e-4)  # let rank 0 acquire first
             assert shm.locked  # held — but not by us
@@ -101,15 +103,37 @@ def test_unlock_requires_ownership():
         if ctx.rank == 0:
             yield from shm.lock(ctx)
             yield Compute(1e-3)
-            yield from shm.unlock(ctx)
+            yield shm.unlock(ctx)
+            shm.release(ctx)
         elif ctx.rank == 1:
             yield Compute(1e-4)
-            yield from shm.unlock(ctx)  # not ours to release
+            yield shm.unlock(ctx)  # not ours to release
         else:
             yield Compute(0.0)
 
     with pytest.raises(ProcessFailure, match="data race"):
         world.run(main)
+
+
+def test_plain_access_and_unlock_check_the_holder_at_call_time():
+    """``access``/``unlock`` return their delay instead of being
+    generators, so the data-race checks fire on the call itself."""
+    world = make_world()
+    shm = world.create_shared_window(0, {"c": 0})
+    holder, intruder = world.contexts[0], world.contexts[1]
+    for step in (lambda ctx: shm.access(ctx, n=2), shm.unlock):
+        with pytest.raises(RuntimeError, match="accessed without holding"):
+            step(holder)
+    assert shm.total_penalty_s == 0.0
+    assert shm.try_lock(holder)
+    for step in (lambda ctx: shm.access(ctx, n=2), shm.unlock):
+        with pytest.raises(RuntimeError, match="rank1 while rank0 holds"):
+            step(intruder)
+    assert shm.access(holder, n=2).duration == 2 * world.costs.mpi.shm_access
+    assert shm.unlock(holder).duration == world.costs.mpi.shm_unlock
+    shm.release(holder)
+    assert not shm.locked
+    assert shm.contention_stats()["acquisitions"] == 1
 
 
 def test_contention_inflates_poll_wait_and_attempts():
@@ -125,7 +149,8 @@ def test_contention_inflates_poll_wait_and_attempts():
             value = yield from shm.load(ctx, "c")
             yield Compute(2e-6)  # hold the lock a while
             yield from shm.store(ctx, "c", value + 1)
-            yield from shm.unlock(ctx)
+            yield shm.unlock(ctx)
+            shm.release(ctx)
 
     world.run(main)
     assert shm.peek("c") == 160
@@ -143,7 +168,8 @@ def test_uncontended_lock_is_cheap():
     def main(ctx):
         for _ in range(10):
             yield from shm.lock(ctx)
-            yield from shm.unlock(ctx)
+            yield shm.unlock(ctx)
+            shm.release(ctx)
 
     world.run(main)
     stats = shm.contention_stats()
@@ -163,7 +189,8 @@ def test_poll_interval_scales_contention_cost():
             for _ in range(10):
                 yield from shm.lock(ctx)
                 yield Compute(2e-6)
-                yield from shm.unlock(ctx)
+                yield shm.unlock(ctx)
+                shm.release(ctx)
 
         world.run(main)
         times[label] = world.sim.now
@@ -176,7 +203,7 @@ def test_win_sync_charges_cost_and_counts():
 
     def main(ctx):
         if ctx.rank == 0:
-            yield from shm.sync(ctx)
+            yield shm.sync(ctx)
         else:
             yield Compute(0.0)
 
@@ -206,10 +233,11 @@ def test_state_dict_with_access_charging():
 
     def main(ctx):
         yield from shm.lock(ctx)
-        yield from shm.access(ctx, n=2)
+        yield shm.access(ctx, n=2)
         shm.state["queue"].append((ctx.rank, ctx.rank + 10))
         yield from shm.store(ctx, "n_ranges", len(shm.state["queue"]))
-        yield from shm.unlock(ctx)
+        yield shm.unlock(ctx)
+        shm.release(ctx)
 
     world.run(main)
     assert len(shm.state["queue"]) == 4
@@ -233,7 +261,8 @@ def test_lock_polling_is_deterministic_given_seed():
             for _ in range(10):
                 yield from shm.lock(ctx)
                 yield Compute(1e-6)
-                yield from shm.unlock(ctx)
+                yield shm.unlock(ctx)
+                shm.release(ctx)
 
         world.run(main)
         return world.sim.now

@@ -50,6 +50,14 @@ def test_costs_must_be_1d_and_nonnegative():
         Workload("w", np.array([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_costs_must_be_finite(bad):
+    costs = np.full(64, 1e-3)
+    costs[5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Workload("w", costs)
+
+
 def test_profile_matches_moments():
     costs = np.array([1.0, 2.0, 3.0])
     wl = Workload("w", costs)

@@ -48,10 +48,12 @@ CHECKED_MODULES = [
     "src/repro/experiments/parallel.py",
     "src/repro/models/base.py",
     "src/repro/models/dcc.py",
+    "src/repro/models/mpi_mpi.py",
     "src/repro/models/mpi_openmp.py",
     "src/repro/native/runner.py",
     "src/repro/service/spec.py",
     "src/repro/sim/cohorts.py",
+    "src/repro/sim/resources.py",
     "src/repro/smpi/rma.py",
     "src/repro/smpi/shm.py",
     "src/repro/somp/schedule.py",
