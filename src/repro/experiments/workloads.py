@@ -22,7 +22,8 @@ negligible for coarse techniques — the paper's central trade-off.
 
 Workloads are cached per scale: building the Mandelbrot escape counts
 and the PSIA k-d tree neighbourhoods is much more expensive than a
-single simulated run.
+single simulated run.  Costs are seconds; iteration indices are loop
+positions, never MPI ranks.
 """
 
 from __future__ import annotations
@@ -56,11 +57,17 @@ def scale_from_env(default: str = "default") -> str:
     return scale
 
 
+def _sizes(scale: str) -> Tuple[int, int]:
+    if scale not in SCALES:
+        raise ValueError(f"scale must be one of {sorted(SCALES)}, got {scale!r}")
+    return SCALES[scale]
+
+
 def figure_mandelbrot(scale: str = "default", total_seconds: Optional[float] = None) -> Workload:
     """The Mandelbrot workload behind Figures 4a-7a."""
     key = ("mandelbrot", scale, total_seconds)
     if key not in _CACHE:
-        size, _ = SCALES[scale]
+        size, _ = _sizes(scale)
         wl = mandelbrot_workload(
             width=size,
             height=size,
@@ -79,7 +86,7 @@ def figure_psia(scale: str = "default", total_seconds: Optional[float] = None) -
     """The PSIA workload behind Figures 4b-7b."""
     key = ("psia", scale, total_seconds)
     if key not in _CACHE:
-        _, n_points = SCALES[scale]
+        _, n_points = _sizes(scale)
         # point_time keeps PSIA coarser-grained than Mandelbrot (mean
         # ~150 us vs ~47 us): spin images are full neighbourhood scans,
         # and the paper's PSIA results show milder scheduling effects.

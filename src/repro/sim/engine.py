@@ -42,6 +42,11 @@ from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Option
 
 import numpy as np
 
+# NumPy 2 loads numpy.random on first use.  Every run draws from it, so
+# load it with the engine: forked pool workers then inherit it instead
+# of each importing it on its first cell.
+import numpy.random  # noqa: F401
+
 from repro.sim.primitives import Command, Delay, DelayKind, Halt, SimEvent, Spawn
 
 ProcessBody = Generator[Command, Any, Any]

@@ -16,6 +16,11 @@ workloads derive their cost vectors from **real kernels**:
 ablations, and :mod:`repro.workloads.traces` persists cost traces and
 generates adversarial stress traces (spike/ramp/bimodal structure
 built to provoke adaptive technique selection).
+
+Conventions: every cost is in seconds on one nominal-speed core, and an
+iteration index is a loop position in ``[0, n)``, never an MPI rank —
+which rank executes an iteration is the scheduler's decision.  Only
+the PSIA builder needs SciPy, imported on the first PSIA build.
 """
 
 from repro.workloads.base import Workload

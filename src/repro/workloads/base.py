@@ -1,4 +1,9 @@
-"""The Workload abstraction: an iteration space with a cost vector."""
+"""The Workload abstraction: an iteration space with a cost vector.
+
+Costs are nominal seconds on one nominal-speed core.  Iterations are
+indexed by loop position ``0 .. n-1``, never by MPI rank; a block
+``[start, start+size)`` outside ``[0, n)`` raises ``IndexError``.
+"""
 
 from __future__ import annotations
 
@@ -87,12 +92,15 @@ class Workload:
             prefix = self._prefix_list = self._prefix.tolist()
         return prefix
 
-    def block_cost(self, start: int, size: int) -> float:
-        """Total nominal cost of iterations ``[start, start+size)`` (O(1))."""
+    def _check_block(self, start: int, size: int) -> None:
         if size < 0 or start < 0 or start + size > self.n:
             raise IndexError(
                 f"block [{start}, {start + size}) outside loop of {self.n} iterations"
             )
+
+    def block_cost(self, start: int, size: int) -> float:
+        """Total nominal cost of iterations ``[start, start+size)`` (O(1))."""
+        self._check_block(start, size)
         prefix = self.cost_prefix()
         return prefix[start + size] - prefix[start]
 
@@ -141,9 +149,14 @@ class Workload:
         )
 
     def execute(self, start: int, size: int) -> Any:
-        """Really run iterations (native backend); requires an executor."""
+        """Really run iterations ``[start, start+size)`` (native backend).
+
+        Requires an executor; raises ``IndexError`` for a block outside
+        ``[0, n)``, as :meth:`block_cost` does.
+        """
         if self.executor is None:
             raise NotImplementedError(f"workload {self.name!r} has no real executor")
+        self._check_block(start, size)
         return self.executor(start, size)
 
     def __repr__(self) -> str:

@@ -11,6 +11,9 @@ large parallel loop the paper describes.  The cost vector is derived
 from the true escape counts computed with a vectorised kernel; the
 workload also carries a real executor so the native backend and the
 examples can render actual images.
+
+Costs are seconds (``base_time + iter_time * count``); iteration ``i``
+is a pixel position in the loop, never an MPI rank.
 """
 
 from __future__ import annotations
@@ -42,19 +45,20 @@ def escape_counts(
     x_min, x_max, y_min, y_max = region
     xs = np.linspace(x_min, x_max, width)
     ys = np.linspace(y_min, y_max, height)
-    c_re = np.broadcast_to(xs, (height, width)).copy().ravel()
-    c_im = np.broadcast_to(ys[:, None], (height, width)).copy().ravel()
+    c_re = np.tile(xs, height)
+    c_im = np.repeat(ys, width)
 
+    # z and c are kept compacted to the live pixels; ``active`` maps
+    # them back to pixel positions.  They shrink only on iterations
+    # where some pixel escapes.
     z_re = np.zeros_like(c_re)
     z_im = np.zeros_like(c_im)
     counts = np.full(c_re.size, max_iter, dtype=np.int64)
     active = np.arange(c_re.size)
 
     for iteration in range(max_iter):
-        zr = z_re[active]
-        zi = z_im[active]
-        zr2 = zr * zr
-        zi2 = zi * zi
+        zr2 = z_re * z_re
+        zi2 = z_im * z_im
         escaped = zr2 + zi2 > 4.0
         if escaped.any():
             counts[active[escaped]] = iteration
@@ -62,12 +66,14 @@ def escape_counts(
             active = active[keep]
             if active.size == 0:
                 break
-            zr = zr[keep]
-            zi = zi[keep]
+            z_re = z_re[keep]
+            z_im = z_im[keep]
+            c_re = c_re[keep]
+            c_im = c_im[keep]
             zr2 = zr2[keep]
             zi2 = zi2[keep]
-        z_im[active] = 2.0 * zr * zi + c_im[active]
-        z_re[active] = zr2 - zi2 + c_re[active]
+        z_im = 2.0 * z_re * z_im + c_im
+        z_re = zr2 - zi2 + c_re
     return counts.reshape(height, width)
 
 

@@ -17,15 +17,18 @@ on this), which we reproduce with a synthetic object made of a uniform
 sphere plus a denser cluster cap.
 
 Everything is computed for real: point cloud, k-d tree neighbourhoods,
-and (on demand) the actual spin images.
+and (on demand) the actual spin images.  Costs are seconds; iteration
+``i`` is the spin image of surface point ``i``, a loop position, never
+an MPI rank.  SciPy (for the k-d tree) is imported on the first PSIA
+build, so processes that never build PSIA do not load it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.workloads.base import Workload
 
@@ -67,8 +70,22 @@ def synthetic_object(
     return points, normals
 
 
+def _check_support_radius(support_radius: float) -> None:
+    if not (math.isfinite(support_radius) and support_radius > 0.0):
+        raise ValueError(
+            f"support_radius must be finite and > 0, got {support_radius!r}"
+        )
+
+
 def neighbourhood_sizes(points: np.ndarray, support_radius: float) -> np.ndarray:
-    """Number of surface points within the support sphere of each point."""
+    """Number of surface points within the support sphere of each point.
+
+    Counts include the point itself.  Imports SciPy's k-d tree on the
+    first call; ``support_radius`` is checked before that import.
+    """
+    _check_support_radius(support_radius)
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(points)
     return np.asarray(
         tree.query_ball_point(points, r=support_radius, return_length=True),
@@ -121,8 +138,10 @@ def psia_workload(
 
     One iteration = one spin image; ``cost_i = base_time + point_time *
     |neighbourhood(i)|`` with neighbourhoods measured on the real
-    synthetic object via a k-d tree.
+    synthetic object via a k-d tree.  Raises ``ValueError`` unless
+    ``support_radius`` is finite and positive.
     """
+    _check_support_radius(support_radius)
     points, normals = synthetic_object(
         n_points,
         cluster_fraction=cluster_fraction,

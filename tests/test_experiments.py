@@ -81,6 +81,12 @@ def test_figure_workload_dispatch():
         figure_workload("linpack", "tiny")
 
 
+@pytest.mark.parametrize("app", ["mandelbrot", "psia"])
+def test_figure_workload_rejects_unknown_scale(app):
+    with pytest.raises(ValueError, match=r"\['default', 'full', 'quick', 'tiny'\]"):
+        figure_workload(app, "huge")
+
+
 def test_mandelbrot_imbalance_greater_than_psia():
     """The structural premise of the whole evaluation (paper Sec. 4)."""
     mb = figure_mandelbrot("tiny")

@@ -104,6 +104,27 @@ def test_execute_requires_executor():
         wl.execute(0, 2)
 
 
+@pytest.mark.parametrize("start, size", [(60, 10), (62, 4), (-1, 2), (3, -1)])
+def test_execute_range_checked(start, size):
+    wl = mandelbrot_workload(8, 8)
+    with pytest.raises(IndexError, match="outside loop of 64 iterations"):
+        wl.execute(start, size)
+
+
+def test_execute_range_checked_against_the_subset():
+    sub = mandelbrot_workload(8, 8).subset(4)
+    assert sub.execute(0, 4).shape == (4,)
+    with pytest.raises(IndexError, match=r"block \[2, 6\) outside loop of 4"):
+        sub.execute(2, 4)
+
+
+def test_psia_execute_range_checked_before_the_executor():
+    wl = psia_workload(n_points=32, support_radius=0.5, bins=4)
+    assert wl.execute(30, 2).shape == (2, 4, 4)
+    with pytest.raises(IndexError, match=r"block \[30, 33\) outside loop of 32"):
+        wl.execute(30, 3)
+
+
 # ---------------------------------------------------------------------------
 # Mandelbrot
 # ---------------------------------------------------------------------------
@@ -197,6 +218,14 @@ def test_neighbourhood_sizes_count_self():
     sizes = neighbourhood_sizes(points, 0.5)
     assert sizes.min() >= 1  # every point is inside its own ball
     assert sizes.max() <= 300
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, float("nan"), float("inf")])
+def test_support_radius_must_be_finite_and_positive(radius):
+    with pytest.raises(ValueError, match="support_radius"):
+        neighbourhood_sizes(np.zeros((3, 3)), radius)
+    with pytest.raises(ValueError, match="support_radius"):
+        psia_workload(n_points=16, support_radius=radius)
 
 
 def test_spin_image_properties():

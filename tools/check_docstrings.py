@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docstring-check the ``repro.cluster`` machine-model modules and the
-engine, MPI-window, execution-model, OpenMP and cell-cache modules
-listed in ``CHECKED_MODULES``.
+engine, MPI-window, execution-model, OpenMP, cell-cache and workload
+modules listed in ``CHECKED_MODULES``.
 
 The cluster layer is the package's public vocabulary for hardware,
 costs and placement, so its API documentation must not rot.  This
@@ -46,6 +46,7 @@ CHECKED_MODULES = [
     "src/repro/api.py",
     "src/repro/experiments/harness.py",
     "src/repro/experiments/parallel.py",
+    "src/repro/experiments/workloads.py",
     "src/repro/models/base.py",
     "src/repro/models/dcc.py",
     "src/repro/models/mpi_mpi.py",
@@ -58,6 +59,10 @@ CHECKED_MODULES = [
     "src/repro/smpi/shm.py",
     "src/repro/somp/schedule.py",
     "src/repro/somp/team.py",
+    "src/repro/workloads/__init__.py",
+    "src/repro/workloads/base.py",
+    "src/repro/workloads/mandelbrot.py",
+    "src/repro/workloads/psia.py",
 ]
 
 #: every checked module's docstring corpus must state these conventions
