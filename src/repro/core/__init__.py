@@ -2,7 +2,8 @@
 
 This package holds the paper's primary contribution in reusable form:
 
-* :mod:`repro.core.chunking` — chunks and schedule-verification helpers.
+* :mod:`repro.core.chunking` — chunks, the columnar chunk log and
+  schedule-verification helpers.
 * :mod:`repro.core.technique_base` — the :class:`Technique` /
   :class:`ChunkCalculator` abstractions implementing the *distributed
   chunk-calculation* approach (chunk sizes derivable from the scheduling
@@ -20,7 +21,13 @@ This package holds the paper's primary contribution in reusable form:
   (regenerates the paper's Figures 2 and 3).
 """
 
-from repro.core.chunking import Chunk, ScheduleError, unroll, verify_schedule
+from repro.core.chunking import (
+    Chunk,
+    ChunkLog,
+    ScheduleError,
+    unroll,
+    verify_schedule,
+)
 from repro.core.hierarchy import HierarchicalSpec
 from repro.core.metrics import LoadMetrics, compute_metrics
 from repro.core.technique_base import (
@@ -35,6 +42,7 @@ from repro.core.techniques import TECHNIQUES, get_technique, list_techniques
 __all__ = [
     "Chunk",
     "ChunkCalculator",
+    "ChunkLog",
     "HierarchicalSpec",
     "IterationProfile",
     "LoadMetrics",

@@ -17,8 +17,9 @@ the flat baselines schedule ranks directly.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, DefaultDict, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from repro.cluster.costs import CostModel, DEFAULT_COSTS
 from repro.cluster.faults import FaultModel
 from repro.cluster.machine import ClusterSpec
 from repro.cluster.noise import MILD_NOISE, NoiseModel
-from repro.core.chunking import Chunk, verify_schedule
+from repro.core.chunking import ChunkLog, verify_schedule
 from repro.core.hierarchy import HierarchicalSpec
 from repro.core.metrics import LoadMetrics, WorkerStats, compute_metrics
 from repro.core.technique_base import ChunkCalculator
@@ -52,17 +53,17 @@ class RunResult:
     parallel_time: float
     metrics: LoadMetrics
     #: inter-node level chunks (step, start, size, pe=node)
-    chunks: List[Chunk] = field(default_factory=list, repr=False)
+    chunks: ChunkLog = field(default_factory=ChunkLog, repr=False)
     #: worker-level sub-chunk assignments (present if collect_chunks)
-    subchunks: List[Chunk] = field(default_factory=list, repr=False)
-    #: chunk lists per scheduling level, root first (present if
+    subchunks: ChunkLog = field(default_factory=ChunkLog, repr=False)
+    #: chunk logs per scheduling level, root first (present if
     #: collect_chunks).  ``level_chunks[0]`` is ``chunks`` and
     #: ``level_chunks[-1]`` is ``subchunks`` for two-level runs; deeper
     #: stacks expose their intermediate tiers (e.g. per-socket chunks)
     #: in between.  Every level-``i+1`` chunk lies inside exactly one
     #: level-``i`` chunk — the containment invariant the property suite
     #: checks.
-    level_chunks: List[List[Chunk]] = field(default_factory=list, repr=False)
+    level_chunks: List[ChunkLog] = field(default_factory=list, repr=False)
     trace: Optional[Trace] = field(default=None, repr=False)
     #: runtime counters (lock contention, atomics, fetches, ...)
     counters: Dict[str, Any] = field(default_factory=dict)
@@ -226,11 +227,11 @@ class _Run:
         #: next chunk-jitter factor, or None without jitter (factor 1)
         self._next_jitter = noise.jitter_source(self.sim)
         # recorded outcomes
-        self.chunks: List[Chunk] = []
-        self.subchunks: List[Chunk] = []
-        #: chunks of intermediate scheduling levels (level index -> list);
+        self.chunks = ChunkLog()
+        self.subchunks = ChunkLog()
+        #: chunks of intermediate scheduling levels (level index -> log);
         #: level 0 lands in ``chunks`` and the leaf in ``subchunks``
-        self.mid_chunks: Dict[int, List[Chunk]] = {}
+        self.mid_chunks: DefaultDict[int, ChunkLog] = defaultdict(ChunkLog)
         #: number of scheduling levels the model actually composed
         #: (models set this; single-level baselines use 1)
         self.n_sched_levels = 2
@@ -324,10 +325,8 @@ class _Run:
 
     # -- recording --------------------------------------------------------
     def record_chunk(self, step: int, start: int, size: int, pe: int) -> None:
-        # Chunk is built positionally here and below: one record per
-        # executed (sub-)chunk, and the keyword form is measurably slower
         if self.collect_chunks:
-            self.chunks.append(Chunk(step, start, size, pe))
+            self.chunks.append(step, start, size, pe)
 
     def record_level_chunk(
         self, level: int, step: int, start: int, size: int, pe: int
@@ -336,20 +335,18 @@ class _Run:
 
         Root chunks land in :attr:`chunks` exactly as before; chunks of
         intermediate levels (the socket tier of a three-level stack) go
-        to per-level lists surfaced as ``RunResult.level_chunks``.
+        to per-level logs surfaced as ``RunResult.level_chunks``.
         The leaf level is recorded through :meth:`record_subchunk`.
         """
         if level == 0:
             self.record_chunk(step, start, size, pe)
         elif self.collect_chunks:
-            self.mid_chunks.setdefault(level, []).append(
-                Chunk(step, start, size, pe)
-            )
+            self.mid_chunks[level].append(step, start, size, pe)
 
     def record_subchunk(self, step: int, start: int, size: int, pe: int) -> None:
         self.executed_iterations += size
         if self.collect_chunks:
-            self.subchunks.append(Chunk(step, start, size, pe))
+            self.subchunks.append(step, start, size, pe)
 
     def record_worker(
         self,
@@ -393,7 +390,7 @@ class _Run:
                 level_chunks = [
                     self.chunks,
                     *(
-                        self.mid_chunks.get(level, [])
+                        self.mid_chunks.get(level, ChunkLog())
                         for level in range(1, self.n_sched_levels - 1)
                     ),
                     self.subchunks,

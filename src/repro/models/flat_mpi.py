@@ -12,6 +12,11 @@ unit at the host — the scalability gap that motivates the hierarchy
 Only the root level of the spec is used (there is only one scheduling
 level); any deeper levels of the stack are ignored, exactly as the
 ``intra`` half of a two-level pair always was.
+
+Conventions: times are simulated seconds.  The one scheduling level
+hands chunks to MPI ranks (``rank = node * ppn + core``): a chunk is
+recorded as a root chunk when a rank grabs it and as a sub-chunk once
+that rank has executed it, both with ``pe`` = the rank.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ class FlatMpiModel(ExecutionModel):
     supports_faults = True
 
     def inter_pe_count(self, cluster, ppn: int) -> int:
+        """Every rank is a PE of the single scheduling level."""
         return cluster.n_nodes * ppn
 
     def _execute(self, run: _Run) -> None:

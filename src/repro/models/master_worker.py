@@ -17,6 +17,11 @@ Characteristics the ablation (A-2) exposes:
 
 Only the root level of the spec is used (single-level scheduling); any
 deeper levels of the stack are ignored.
+
+Conventions: times are simulated seconds.  PEs are MPI ranks
+(``rank = node * ppn + core``); the master records each assignment as a
+root chunk with ``pe`` = the requesting worker's rank, and the worker
+records it as a sub-chunk when it executes it.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ class MasterWorkerModel(ExecutionModel):
     supports_faults = True
 
     def inter_pe_count(self, cluster, ppn: int) -> int:
-        return cluster.n_nodes * ppn - 1  # rank 0 is the dedicated master
+        """Every rank but the dedicated master (rank 0) is a PE."""
+        return cluster.n_nodes * ppn - 1
 
     def _execute(self, run: _Run) -> None:
         run.n_sched_levels = 1

@@ -45,7 +45,7 @@ import numpy as np
 from repro.cluster.costs import CostModel, DEFAULT_COSTS
 from repro.cluster.interconnect import Tier, tier_between
 from repro.cluster.machine import ClusterSpec, NodeSpec
-from repro.core.chunking import Chunk, verify_schedule
+from repro.core.chunking import ChunkLog, verify_schedule
 from repro.core.hierarchy import HierarchicalSpec, LevelSpec
 from repro.workloads.base import Workload
 
@@ -76,7 +76,7 @@ class NativeResult:
     n_workers: int
     wall_seconds: float
     #: chunks in grab order (worker-level)
-    chunks: List[Chunk]
+    chunks: ChunkLog
     #: per-worker executed iteration counts
     per_worker_iterations: Dict[int, int]
     #: per-worker busy seconds (sum of kernel times)
@@ -523,7 +523,7 @@ class NativeRunner:
 
     # ------------------------------------------------------------------
     def _execute(self, mode: str, worker_loop) -> NativeResult:
-        chunks: List[Chunk] = []
+        chunks = ChunkLog()
         chunks_lock = threading.Lock()
         per_iter: Dict[int, int] = {pe: 0 for pe in range(self.n_workers)}
         per_busy: Dict[int, float] = {pe: 0.0 for pe in range(self.n_workers)}
@@ -536,7 +536,7 @@ class NativeRunner:
             per_busy[pe] += time.perf_counter() - t0
             per_iter[pe] += size
             with chunks_lock:
-                chunks.append(Chunk(step=max(step, 0), start=start, size=size, pe=pe))
+                chunks.append(max(step, 0), start, size, pe)
                 if outputs is not None:
                     outputs[start] = result
 

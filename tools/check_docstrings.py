@@ -44,11 +44,14 @@ CHECKED_MODULES = [
     "src/repro/cluster/placement_opt.py",
     "src/repro/cluster/topology.py",
     "src/repro/api.py",
+    "src/repro/core/chunking.py",
     "src/repro/experiments/harness.py",
     "src/repro/experiments/parallel.py",
     "src/repro/experiments/workloads.py",
     "src/repro/models/base.py",
     "src/repro/models/dcc.py",
+    "src/repro/models/flat_mpi.py",
+    "src/repro/models/master_worker.py",
     "src/repro/models/mpi_mpi.py",
     "src/repro/models/mpi_openmp.py",
     "src/repro/native/runner.py",
