@@ -5,8 +5,7 @@ Quoted values: Mandelbrot GSS+STATIC — MPI+MPI 19.6 s (2 nodes) and
 233 s vs 245 s at 2 nodes.  The workloads are rescaled so total work
 matches the paper's implied core-seconds; the benchmark prints
 paper-vs-measured and asserts every *directional* statement (who wins
-where, gap ordering) — absolute seconds are recorded, not asserted
-(see EXPERIMENTS.md).
+where, gap ordering) — absolute seconds are recorded, not asserted.
 """
 
 from benchmarks.conftest import emit

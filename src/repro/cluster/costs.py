@@ -7,8 +7,9 @@ pure lookup: they take locality *tiers* (integers, see
 classifying a rank pair into a tier is the
 :class:`~repro.cluster.interconnect.Interconnect`'s job.  Defaults are
 calibrated so that full-scale runs land on the magnitudes reported in
-the paper (Section 5); see
-``repro.experiments.calibration`` and EXPERIMENTS.md for the procedure.
+the paper (Section 5); ``repro intext`` (:mod:`repro.experiments.intext`)
+prints those numbers beside the simulated ones, and docs/PLACEMENT.md
+derives the ``CALIBRATED_COSTS`` locality preset.
 
 The two decisive knobs (paper Sections 5-6):
 

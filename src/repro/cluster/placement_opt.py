@@ -99,11 +99,6 @@ class WindowProfile:
     loads: Mapping[int, float]
     atomics: Mapping[int, float]
 
-    @property
-    def total_weight(self) -> float:
-        """Total predicted operations (loads + atomics) on this window."""
-        return sum(self.loads.values()) + sum(self.atomics.values())
-
 
 @dataclass(frozen=True)
 class AccessProfile:

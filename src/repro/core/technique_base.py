@@ -340,11 +340,6 @@ def batch_index(step: int, p: int) -> int:
     return step // p
 
 
-def check_batch_invariants(n: int, p: int) -> None:
-    if n < 0 or p < 1:
-        raise TechniqueError(f"invalid loop n={n}, p={p}")
-
-
 __all__ = [
     "ChunkCalculator",
     "IterationProfile",

@@ -1,7 +1,7 @@
 """Experiment harness (S10): regenerate every table and figure.
 
 The paper's evaluation artefacts map to this package as follows
-(see DESIGN.md's per-experiment index):
+(README's "Reproducing the paper's results" lists the CLI commands):
 
 * Table 1  -> :func:`repro.experiments.tables.table1`
 * Figure 2/3 (sync illustration) -> :func:`repro.experiments.figures.run_sync_illustration`
@@ -9,6 +9,9 @@ The paper's evaluation artefacts map to this package as follows
   ``fig4a`` ... ``fig7b``
 * In-text numbers (Sec. 5) -> :func:`repro.experiments.intext.run_intext`
 * Ablations A-1..A-4 -> :mod:`repro.experiments.ablations`
+* Extension sweeps (window placement, crash faults, dCC) ->
+  :func:`repro.experiments.figures.run_variant` over a
+  :class:`~repro.experiments.figures.VariantSpec`
 
 All experiments run on the calibrated figure workloads from
 :mod:`repro.experiments.workloads` and print paper-style series plus
@@ -19,12 +22,14 @@ from repro.experiments.figures import (
     FIGURES,
     FigureResult,
     FigureSpec,
-    PlacementVariantResult,
-    PlacementVariantSpec,
+    VariantResult,
+    VariantSpec,
+    dcc_variant,
+    fault_variant,
     placement_variant,
     run_figure,
-    run_placement_variant,
     run_sync_illustration,
+    run_variant,
 )
 from repro.experiments.harness import Cell, GridRunner, simulate_cell
 from repro.experiments.workloads import scale_from_env
@@ -37,14 +42,16 @@ __all__ = [
     "FigureResult",
     "FigureSpec",
     "GridRunner",
-    "PlacementVariantResult",
-    "PlacementVariantSpec",
+    "VariantResult",
+    "VariantSpec",
+    "dcc_variant",
+    "fault_variant",
     "figure_mandelbrot",
     "figure_psia",
     "placement_variant",
     "run_figure",
-    "run_placement_variant",
     "run_sync_illustration",
+    "run_variant",
     "scale_from_env",
     "simulate_cell",
     "table1",

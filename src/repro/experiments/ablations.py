@@ -1,4 +1,4 @@
-"""Ablation studies (A-1 .. A-4): the design choices DESIGN.md calls out.
+"""Ablation studies (A-1 .. A-4): the design choices behind the results.
 
 These go beyond the paper's figures to quantify *why* the results look
 the way they do:

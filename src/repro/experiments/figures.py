@@ -4,18 +4,28 @@
 cluster sizes for a fixed inter-node technique, for both applications
 (``a`` = Mandelbrot, ``b`` = PSIA), exactly mirroring the paper's
 Figures 4-7.  Each figure carries *shape checks* that encode the
-paper's qualitative findings; the benchmark harness prints them as
-PASS/FAIL lines and EXPERIMENTS.md records them.
+paper's qualitative findings; every report prints them as PASS/FAIL
+lines (README, "Reproducing the paper's results", lists the commands).
+
+The extension sweeps beyond the paper (window placement, crash faults,
+distributed chunk calculation) are :class:`VariantSpec` tuples of
+:class:`VariantPoint` runs, all run by :func:`run_variant`.
+
+Unit convention: every makespan, series value and priced cost is in
+simulated seconds (reports print priced costs as microseconds).  Index
+convention: a run is sized by its node count and ``ppn`` ranks per
+node; no rank or node index identifies a cell or point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.api import run_hierarchical
-from repro.cluster.costs import COST_PRESETS
-from repro.cluster.machine import heterogeneous, minihpc
+from repro.cluster.costs import COST_PRESETS, CostModel
+from repro.cluster.faults import FaultModel
+from repro.cluster.machine import ClusterSpec, heterogeneous, minihpc
 from repro.core.hierarchy import split_stack
 from repro.core.techniques import INTEL_OPENMP_SUPPORTED, PAPER_TECHNIQUES
 from repro.experiments.harness import Cell, GridRunner, series
@@ -54,6 +64,7 @@ class FigureSpec:
 
     @property
     def title(self) -> str:
+        """Report header: figure, app, inter technique and node shape."""
         suffix = (
             f", {self.sockets_per_node} sockets/node"
             if self.sockets_per_node > 1
@@ -206,6 +217,7 @@ class ShapeCheck:
     detail: str = ""
 
     def line(self) -> str:
+        """The report line: ``[PASS]``/``[FAIL]``, text, detail."""
         mark = "PASS" if self.passed else "FAIL"
         out = f"  [{mark}] {self.description}"
         if self.detail:
@@ -215,11 +227,14 @@ class ShapeCheck:
 
 @dataclass
 class FigureResult:
+    """Outcome of one figure sweep: its grid cells and shape checks."""
+
     spec: FigureSpec
     cells: List[Cell]
     checks: List[ShapeCheck] = field(default_factory=list)
 
     def series(self, approach: str, intra: str) -> Dict[int, float]:
+        """One plotted line: node count -> parallel time in seconds."""
         return series(self.cells, approach, intra)
 
     # ------------------------------------------------------------------
@@ -343,6 +358,7 @@ class FigureResult:
 
     @property
     def all_passed(self) -> bool:
+        """Whether every shape check passed."""
         return all(c.passed for c in (self.checks or self.run_checks()))
 
 
@@ -406,57 +422,169 @@ def run_figure_spec(
 
 
 # ---------------------------------------------------------------------------
-# placement sweep: leader vs optimized window homes (PR 5 extension)
+# variant sweeps: extensions of a figure, one run_hierarchical call per point
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
-class PlacementVariantSpec:
-    """One placement comparison: a figure grid re-run on an *asymmetric*
-    cluster, once with leader window homes and once with optimized ones.
+class VariantPoint:
+    """One run of a variant sweep.
 
-    ``core_speeds`` are cycled over the nodes (the asymmetry: a slow
-    node 0 makes the rank-0 leader home of the global RMA window a
-    poor host), ``costs_preset`` names the
-    :data:`repro.cluster.costs.COST_PRESETS` entry pricing the
-    distance, and ``intras`` are full sub-stacks below ``inter`` (the
-    depth decides which tier queues exist to place).
+    ``panel`` names the report block the run belongs to and ``x`` its
+    place on that block's axis (node count, crash count or ``ppn``).
+    The other fields are the :func:`repro.api.run_hierarchical`
+    arguments that vary between runs: ``cluster`` has ``n_nodes``
+    nodes of ``ppn`` ranks each, ``costs=None`` is the package default
+    cost model and ``faults=None`` a fault-free run.
     """
 
-    figure_id: str
-    paper_ref: str
-    app: str
+    panel: str
+    x: int
+    approach: str
     inter: str
-    intras: Tuple[str, ...]
-    node_counts: Tuple[int, ...] = (2, 4)
-    ppn: int = 8
-    sockets_per_node: int = 2
-    numa_per_socket: int = 2
-    core_speeds: Tuple[float, ...] = (0.6, 1.4)
-    costs_preset: str = "calibrated"
+    intra: str
+    n_nodes: int
+    ppn: int
+    cluster: ClusterSpec
+    costs: Optional[CostModel] = None
+    placement: str = "leader"
+    faults: Optional[FaultModel] = None
 
     @property
-    def title(self) -> str:
-        """Human-readable header for the report."""
-        return (
-            f"{self.paper_ref}: {self.app} with {self.inter} inter-node "
-            f"scheduling — leader vs optimized window placement "
-            f"({self.ppn} workers/node, {self.sockets_per_node} sockets x "
-            f"{self.numa_per_socket} NUMA, node speeds "
-            f"{'/'.join(str(s) for s in self.core_speeds)}, "
-            f"{self.costs_preset} costs)"
-        )
+    def stack(self) -> str:
+        """The ``inter+intra`` technique stack this point runs."""
+        return f"{self.inter}+{self.intra}"
 
-    def cluster_factory(self, n_nodes: int):
-        """The asymmetric cluster of ``n_nodes`` nodes for this sweep."""
-        speeds = [
-            self.core_speeds[i % len(self.core_speeds)] for i in range(n_nodes)
-        ]
-        return heterogeneous(
-            core_counts=[self.ppn] * n_nodes,
-            core_speeds=speeds,
-            socket_counts=[self.sockets_per_node] * n_nodes,
-            numa_counts=[self.numa_per_socket] * n_nodes,
-            name=f"asym-{self.figure_id}",
+
+@dataclass(frozen=True)
+class VariantCell:
+    """One simulated :class:`VariantPoint`: its makespan and measured
+    distance-priced queue traffic in simulated seconds, and the run
+    counters the variant reports read (0 when a run reports none)."""
+
+    point: VariantPoint
+    parallel_time: float
+    placement_cost_s: float
+    failures_injected: int
+    chunks_reexecuted: int
+    failovers: int
+    lock_leases_broken: int
+    global_atomics: int
+    dcc_steps: int
+
+
+@dataclass(frozen=True)
+class VariantSpec:
+    """An extension sweep of a paper figure, run by :func:`run_variant`.
+
+    ``points`` are run in order; ``rows`` renders the report's table
+    lines below the title and ``checks`` its shape checks, both from the
+    :class:`VariantResult`; ``extension`` names the sweep in the
+    shape-check heading.
+    """
+
+    title: str
+    paper_ref: str
+    app: str
+    extension: str
+    points: Tuple[VariantPoint, ...]
+    rows: Callable[["VariantResult"], List[str]]
+    checks: Callable[["VariantResult"], List[ShapeCheck]]
+
+    @property
+    def panels(self) -> Dict[str, List[VariantPoint]]:
+        """Panel label -> its points in run order, panels in the order
+        their first point appears."""
+        panels: Dict[str, List[VariantPoint]] = {}
+        for point in self.points:
+            panels.setdefault(point.panel, []).append(point)
+        return panels
+
+
+@dataclass
+class VariantResult:
+    """Outcome of one variant sweep: one cell per point, in run order."""
+
+    spec: VariantSpec
+    cells: List[VariantCell]
+    checks: List[ShapeCheck] = field(default_factory=list)
+
+    def panel_cells(
+        self, panel: str, placement: Optional[str] = None
+    ) -> List[VariantCell]:
+        """One panel's cells sorted by ``x``; ``placement`` keeps only
+        the runs with that window-placement policy."""
+        mine = [c for c in self.cells if c.point.panel == panel]
+        if placement is not None:
+            mine = [c for c in mine if c.point.placement == placement]
+        return sorted(mine, key=lambda c: c.point.x)
+
+    def series(self, panel: str) -> Dict[int, float]:
+        """x -> makespan in seconds along one panel."""
+        return {c.point.x: c.parallel_time for c in self.panel_cells(panel)}
+
+    def degradation(self, panel: str, x: int) -> float:
+        """Relative makespan increase of a panel's point at ``x`` over
+        its ``x == 0`` baseline (0.0 without a baseline)."""
+        times = self.series(panel)
+        if not times.get(0) or x not in times:
+            return 0.0
+        return times[x] / times[0] - 1.0
+
+    def run_checks(self) -> List[ShapeCheck]:
+        """Evaluate the spec's shape checks on these cells."""
+        self.checks = self.spec.checks(self)
+        return self.checks
+
+    def to_text(self) -> str:
+        """Paper-style report: title, the spec's table, shape checks."""
+        spec = self.spec
+        lines = [spec.title, "=" * len(spec.title), *spec.rows(self)]
+        lines.append(f"\nshape checks ({spec.extension}):")
+        lines += [check.line() for check in self.checks or self.run_checks()]
+        return "\n".join(lines)
+
+    @property
+    def all_passed(self) -> bool:
+        """Whether every shape check passed."""
+        return all(c.passed for c in (self.checks or self.run_checks()))
+
+
+def run_variant(
+    spec: VariantSpec,
+    scale: Optional[str] = None,
+    seed: int = 0,
+    progress: Optional[Callable[[str], None]] = None,
+) -> VariantResult:
+    """Run every point of a variant sweep and evaluate its shape checks.
+
+    Each point is one :func:`repro.api.run_hierarchical` call with
+    ``seed`` on the figure workload of ``spec.app`` at ``scale``
+    (default: the ``REPRO_SCALE`` environment scale)::
+
+        run_variant(placement_variant("fig5a"), scale="quick")
+    """
+    workload = figure_workload(spec.app, scale or scale_from_env())
+    cells: List[VariantCell] = []
+    for p in spec.points:
+        run = run_hierarchical(
+            workload, p.cluster, inter=p.inter, intra=p.intra,
+            approach=p.approach, ppn=p.ppn, seed=seed, collect_chunks=False,
+            costs=p.costs, placement=p.placement, faults=p.faults,
         )
+        counters = run.counters
+        cells.append(
+            VariantCell(
+                p,
+                run.parallel_time,
+                float(counters.get("placement_cost_s", 0.0)),
+                # the integer fields are named as the run's counters
+                *(int(counters.get(f.name, 0)) for f in fields(VariantCell)[3:]),
+            )
+        )
+        if progress is not None:
+            progress(f"  {p.panel:<13} x={p.x:<3} T={run.parallel_time:.4g}s")
+    result = VariantResult(spec=spec, cells=cells)
+    result.run_checks()
+    return result
 
 
 def placement_variant(
@@ -468,217 +596,110 @@ def placement_variant(
     ppn: int = 8,
     core_speeds: Tuple[float, ...] = (0.6, 1.4),
     costs_preset: str = "calibrated",
-) -> PlacementVariantSpec:
+) -> VariantSpec:
     """Derive the placement comparison of a paper figure.
 
     Same application and inter technique as the original, but on an
-    asymmetric cluster (heterogeneous node speeds, dual-socket x NUMA
-    nodes) with each panel deepened to a depth-4 ``X+mid+mid+Y`` stack,
-    swept twice — ``placement="leader"`` vs ``placement="optimized"`` —
-    under a non-zero locality preset.  Not part of the paper: the
-    penalty-aware queue-placement extension sweep::
+    asymmetric cluster: ``core_speeds`` are cycled over the nodes (a
+    slow node 0 makes the rank-0 leader home of the global RMA window a
+    poor host), and the nodes are dual-socket x NUMA.  Each panel is
+    deepened to a depth-4 ``X+mid+mid+Y`` stack and swept twice,
+    ``placement="leader"`` vs ``placement="optimized"``, under the
+    ``costs_preset`` entry of :data:`repro.cluster.costs.COST_PRESETS`.
+    Not part of the paper: the penalty-aware queue-placement extension
+    sweep::
 
-        run_placement_variant(placement_variant("fig5a"))
+        run_variant(placement_variant("fig5a"))
     """
     base = FIGURES[figure_id]
-    if numa_per_socket > 1:
-        intras = tuple(f"{mid}+{mid}+{intra}" for intra in base.intras)
-    elif sockets_per_node > 1:
-        intras = tuple(f"{mid}+{intra}" for intra in base.intras)
-    else:
-        intras = base.intras
-    return PlacementVariantSpec(
-        figure_id=f"{base.figure_id}-placement",
-        paper_ref=f"{base.paper_ref} (queue-placement extension)",
+    mids = 2 if numa_per_socket > 1 else int(sockets_per_node > 1)
+    intras = tuple(f"{mid}+" * mids + intra for intra in base.intras)
+    clusters = {
+        n: heterogeneous(
+            core_counts=[ppn] * n,
+            core_speeds=[core_speeds[i % len(core_speeds)] for i in range(n)],
+            socket_counts=[sockets_per_node] * n,
+            numa_counts=[numa_per_socket] * n,
+            name=f"asym-{base.figure_id}-placement",
+        )
+        for n in node_counts
+    }
+    costs = COST_PRESETS[costs_preset]
+    paper_ref = f"{base.paper_ref} (queue-placement extension)"
+    return VariantSpec(
+        title=(
+            f"{paper_ref}: {base.app} with {base.inter} inter-node "
+            f"scheduling — leader vs optimized window placement "
+            f"({ppn} workers/node, {sockets_per_node} sockets x "
+            f"{numa_per_socket} NUMA, node speeds "
+            f"{'/'.join(str(s) for s in core_speeds)}, {costs_preset} costs)"
+        ),
+        paper_ref=paper_ref,
         app=base.app,
-        inter=base.inter,
-        intras=intras,
-        node_counts=node_counts,
-        ppn=ppn,
-        sockets_per_node=sockets_per_node,
-        numa_per_socket=numa_per_socket,
-        core_speeds=core_speeds,
-        costs_preset=costs_preset,
+        extension="queue-placement extension",
+        points=tuple(
+            VariantPoint(
+                intra, n, "mpi+mpi", base.inter, intra, n, ppn, clusters[n],
+                costs=costs, placement=placement,
+            )
+            for placement in ("leader", "optimized")
+            for intra in intras
+            for n in node_counts
+        ),
+        rows=_placement_rows,
+        checks=_placement_checks,
     )
 
 
-@dataclass
-class PlacementVariantResult:
-    """Outcome of one placement comparison sweep."""
-
-    spec: PlacementVariantSpec
-    leader_cells: List[Cell]
-    optimized_cells: List[Cell]
-    checks: List[ShapeCheck] = field(default_factory=list)
-
-    def cost_series(self, placement: str, intra: str) -> Dict[int, float]:
-        """nodes -> measured priced placement cost for one panel."""
-        cells = (
-            self.leader_cells if placement == "leader" else self.optimized_cells
+def _placement_checks(result: VariantResult) -> List[ShapeCheck]:
+    """Optimized homes must not cost more than leader homes, and at
+    least one panel must show a real (>1%) reduction."""
+    checks: List[ShapeCheck] = []
+    best_gain = 0.0
+    for panel, points in result.spec.panels.items():
+        leader, optimized = (
+            sum(c.placement_cost_s for c in result.panel_cells(panel, placement=p))
+            for p in ("leader", "optimized")
         )
-        return {
-            c.nodes: c.placement_cost
-            for c in sorted(cells, key=lambda c: c.nodes)
-            if c.intra == intra
-        }
-
-    def run_checks(self) -> List[ShapeCheck]:
-        """Optimized homes must not cost more than leader homes, and at
-        least one panel must show a real (>1%) reduction."""
-        checks: List[ShapeCheck] = []
-        best_gain = 0.0
-        for intra in self.spec.intras:
-            leader = self.cost_series("leader", intra)
-            optimized = self.cost_series("optimized", intra)
-            total_leader = sum(leader.values())
-            total_optimized = sum(optimized.values())
-            gain = (
-                (total_leader - total_optimized) / total_leader
-                if total_leader > 0
-                else 0.0
-            )
-            best_gain = max(best_gain, gain)
-            checks.append(
-                ShapeCheck(
-                    f"{self.spec.inter}+{intra}: optimized placement priced "
-                    "cost <= leader",
-                    passed=total_optimized <= total_leader * 1.0000001,
-                    detail=(
-                        f"{total_leader * 1e6:.1f}us -> "
-                        f"{total_optimized * 1e6:.1f}us ({gain:+.1%})"
-                    ),
-                )
-            )
+        gain = (leader - optimized) / leader if leader > 0 else 0.0
+        best_gain = max(best_gain, gain)
         checks.append(
             ShapeCheck(
-                "at least one panel cuts priced cost by > 1% "
-                "(the optimizer moved a window that matters)",
-                passed=best_gain > 0.01,
-                detail=f"best reduction {best_gain:.1%}",
+                f"{points[0].stack}: optimized placement priced cost <= leader",
+                passed=optimized <= leader * 1.0000001,
+                detail=f"{leader * 1e6:.1f}us -> {optimized * 1e6:.1f}us ({gain:+.1%})",
             )
         )
-        self.checks = checks
-        return checks
-
-    def to_text(self) -> str:
-        """Paper-style report: per-panel priced-cost and makespan table."""
-        spec = self.spec
-        lines = [spec.title, "=" * len(spec.title)]
-        for intra in spec.intras:
-            lines.append(f"\n-- {spec.inter}+{intra} --")
-            header = (
-                f"{'nodes':>6} | {'leader cost':>12} | {'optimized':>12} | "
-                f"{'delta':>7} | {'leader T':>10} | {'optimized T':>11}"
-            )
-            lines.append(header)
-            lines.append("-" * len(header))
-            leader_t = {
-                c.nodes: c.time for c in self.leader_cells if c.intra == intra
-            }
-            optimized_t = {
-                c.nodes: c.time
-                for c in self.optimized_cells
-                if c.intra == intra
-            }
-            leader = self.cost_series("leader", intra)
-            optimized = self.cost_series("optimized", intra)
-            for nodes in spec.node_counts:
-                lead, opt = leader.get(nodes), optimized.get(nodes)
-                if lead is None or opt is None:
-                    continue
-                delta = (opt - lead) / lead if lead else 0.0
-                lines.append(
-                    f"{nodes:>6} | {lead * 1e6:>10.1f}us | {opt * 1e6:>10.1f}us"
-                    f" | {delta:>+6.1%} | {leader_t[nodes]:>9.4g}s |"
-                    f" {optimized_t[nodes]:>10.4g}s"
-                )
-        lines.append("\nshape checks (queue-placement extension):")
-        for check in self.checks or self.run_checks():
-            lines.append(check.line())
-        return "\n".join(lines)
-
-    @property
-    def all_passed(self) -> bool:
-        """Whether every placement shape check passed."""
-        return all(c.passed for c in (self.checks or self.run_checks()))
-
-
-def run_placement_variant(
-    spec: "PlacementVariantSpec | str",
-    scale: Optional[str] = None,
-    seed: int = 0,
-    progress: Optional[Callable[[str], None]] = None,
-    jobs: int = 1,
-    cache_dir: Optional[str] = None,
-) -> PlacementVariantResult:
-    """Sweep one placement comparison (a :func:`placement_variant` spec
-    or a figure id to derive it from) and evaluate its shape checks."""
-    if isinstance(spec, str):
-        spec = placement_variant(spec)
-    workload = figure_workload(spec.app, scale or scale_from_env())
-    costs = COST_PRESETS[spec.costs_preset]
-    cells: Dict[str, List[Cell]] = {}
-    for placement in ("leader", "optimized"):
-        runner = GridRunner(
-            workload=workload,
-            ppn=spec.ppn,
-            node_counts=spec.node_counts,
-            seed=seed,
-            cluster_factory=spec.cluster_factory,
-            progress=progress,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            costs=costs,
-            placement=placement,
+    checks.append(
+        ShapeCheck(
+            "at least one panel cuts priced cost by > 1% "
+            "(the optimizer moved a window that matters)",
+            passed=best_gain > 0.01,
+            detail=f"best reduction {best_gain:.1%}",
         )
-        cells[placement] = runner.sweep(
-            spec.inter, spec.intras, [("mpi+mpi", lambda intra: True)]
-        )
-    result = PlacementVariantResult(
-        spec=spec,
-        leader_cells=cells["leader"],
-        optimized_cells=cells["optimized"],
     )
-    result.run_checks()
-    return result
+    return checks
 
 
-# ---------------------------------------------------------------------------
-# fault sweep: makespan degradation vs failure count (PR 6 extension)
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class FaultVariantSpec:
-    """One fault-resilience comparison: inter techniques swept under
-    growing seeded crash-stop schedules on a fixed cluster.
-
-    For each technique in ``inters`` and each count in ``crash_counts``
-    the figure's application is simulated with
-    :meth:`repro.cluster.faults.FaultModel.random_crashes` victims
-    (crash times uniform over ``t_window`` seconds, at most ``ppn - 1``
-    victims per node so recovery stays possible); count 0 is the
-    fault-free baseline the degradation is measured against.
-    """
-
-    figure_id: str
-    paper_ref: str
-    app: str
-    inters: Tuple[str, ...] = ("SS", "FAC2", "GSS", "ADAPT")
-    intra: str = "SS"
-    n_nodes: int = 4
-    ppn: int = 8
-    crash_counts: Tuple[int, ...] = (0, 1, 2, 4)
-    t_window: Tuple[float, float] = (5e-4, 5e-3)
-    fault_seed: int = 0
-
-    @property
-    def title(self) -> str:
-        """Human-readable header for the report."""
-        return (
-            f"{self.paper_ref}: {self.app} under crash-stop failures — "
-            f"{' vs '.join(self.inters)} inter-node scheduling "
-            f"({self.n_nodes} nodes x {self.ppn} workers, crashes in "
-            f"[{self.t_window[0]:g}s, {self.t_window[1]:g}s])"
-        )
+def _placement_rows(result: VariantResult) -> List[str]:
+    """Per-panel priced-cost and makespan table, one row per node count."""
+    header = (
+        f"{'nodes':>6} | {'leader cost':>12} | {'optimized':>12} | "
+        f"{'delta':>7} | {'leader T':>10} | {'optimized T':>11}"
+    )
+    lines: List[str] = []
+    for panel, points in result.spec.panels.items():
+        lines += [f"\n-- {points[0].stack} --", header, "-" * len(header)]
+        leader = result.panel_cells(panel, placement="leader")
+        optimized = result.panel_cells(panel, placement="optimized")
+        for lead, opt in zip(leader, optimized):
+            lc, oc = lead.placement_cost_s, opt.placement_cost_s
+            lines.append(
+                f"{lead.point.x:>6} | {lc * 1e6:>10.1f}us | {oc * 1e6:>10.1f}us"
+                f" | {(oc - lc) / lc if lc else 0.0:>+6.1%} |"
+                f" {lead.parallel_time:>9.4g}s | {opt.parallel_time:>10.4g}s"
+            )
+    return lines
 
 
 def fault_variant(
@@ -690,228 +711,97 @@ def fault_variant(
     crash_counts: Tuple[int, ...] = (0, 1, 2, 4),
     t_window: Tuple[float, float] = (5e-4, 5e-3),
     fault_seed: int = 0,
-) -> FaultVariantSpec:
+) -> VariantSpec:
     """Derive the fault-resilience comparison of a paper figure.
 
     Same application as the original figure, but on a fixed cluster with
     the inter technique on the panels and the injected failure count on
-    the x-axis.  Not part of the paper — the failure-aware scheduling
-    extension sweep::
+    the x-axis.  Each count draws seeded
+    :meth:`repro.cluster.faults.FaultModel.random_crashes` victims
+    (crash times uniform over ``t_window`` seconds, at most ``ppn - 1``
+    victims per node so recovery stays possible); count 0 is the
+    fault-free baseline the degradation is measured against.  Not part
+    of the paper — the failure-aware scheduling extension sweep::
 
-        run_fault_variant(fault_variant("fig5a"))
+        run_variant(fault_variant("fig5a"))
     """
     base = FIGURES[figure_id]
-    return FaultVariantSpec(
-        figure_id=f"{base.figure_id}-faults",
-        paper_ref=f"{base.paper_ref} (fault-injection extension)",
+    cluster = minihpc(n_nodes, ppn)
+    paper_ref = f"{base.paper_ref} (fault-injection extension)"
+    return VariantSpec(
+        title=(
+            f"{paper_ref}: {base.app} under crash-stop failures — "
+            f"{' vs '.join(inters)} inter-node scheduling "
+            f"({n_nodes} nodes x {ppn} workers, crashes in "
+            f"[{t_window[0]:g}s, {t_window[1]:g}s])"
+        ),
+        paper_ref=paper_ref,
         app=base.app,
-        inters=inters,
-        intra=intra,
-        n_nodes=n_nodes,
-        ppn=ppn,
-        crash_counts=crash_counts,
-        t_window=t_window,
-        fault_seed=fault_seed,
+        extension="fault-injection extension",
+        points=tuple(
+            VariantPoint(
+                inter, n, "mpi+mpi", inter, intra, n_nodes, ppn, cluster,
+                faults=FaultModel.random_crashes(
+                    n, n_nodes, ppn, t_window, seed=fault_seed
+                ) if n else None,
+            )
+            for inter in inters
+            for n in crash_counts
+        ),
+        rows=_fault_rows,
+        checks=_fault_checks,
     )
 
 
-@dataclass(frozen=True)
-class FaultCell:
-    """One fault-sweep point: a technique under one crash schedule."""
-
-    inter: str
-    n_crashes: int
-    time: float
-    n_failures: int
-    n_reexecuted: int
-    n_failovers: int
-    n_leases_broken: int
-
-
-@dataclass
-class FaultVariantResult:
-    """Outcome of one fault-resilience comparison sweep."""
-
-    spec: FaultVariantSpec
-    cells: List[FaultCell]
-    checks: List[ShapeCheck] = field(default_factory=list)
-
-    def series(self, inter: str) -> Dict[int, float]:
-        """crash count -> makespan for one technique panel."""
-        return {
-            c.n_crashes: c.time
-            for c in sorted(self.cells, key=lambda c: c.n_crashes)
-            if c.inter == inter
-        }
-
-    def degradation(self, inter: str, n_crashes: int) -> float:
-        """Relative makespan increase of a faulted run over fault-free."""
-        times = self.series(inter)
-        baseline = times.get(0)
-        if not baseline or n_crashes not in times:
-            return 0.0
-        return times[n_crashes] / baseline - 1.0
-
-    def run_checks(self) -> List[ShapeCheck]:
-        """Every faulted run must complete on the survivors with every
-        injected crash observed, re-execute stranded work, and cost no
-        less than the fault-free baseline (within noise)."""
-        checks: List[ShapeCheck] = []
-        worst = max(self.spec.crash_counts)
-        for inter in self.spec.inters:
-            mine = [c for c in self.cells if c.inter == inter]
-            observed = all(c.n_failures >= c.n_crashes for c in mine)
-            checks.append(
-                ShapeCheck(
-                    f"{inter}+{self.spec.intra}: every injected crash "
-                    "observed, run completed on survivors",
-                    passed=observed and len(mine) == len(self.spec.crash_counts),
-                    detail=f"{len(mine)} runs",
-                )
-            )
-            degradation = self.degradation(inter, worst)
-            checks.append(
-                ShapeCheck(
-                    f"{inter}+{self.spec.intra}: {worst} crashes do not "
-                    "beat the fault-free baseline",
-                    passed=degradation >= -0.01,
-                    detail=f"degradation {degradation:+.1%}",
-                )
-            )
-        reexecuted = sum(c.n_reexecuted for c in self.cells)
-        checks.append(
+def _fault_checks(result: VariantResult) -> List[ShapeCheck]:
+    """Every faulted run must complete on the survivors with every
+    injected crash observed, re-execute stranded work, and cost no
+    less than the fault-free baseline (within noise)."""
+    spec = result.spec
+    checks: List[ShapeCheck] = []
+    worst = max(p.x for p in spec.points)
+    for panel, points in spec.panels.items():
+        mine, stack = result.panel_cells(panel), points[0].stack
+        degradation = result.degradation(panel, worst)
+        checks += [
             ShapeCheck(
-                "stranded chunks were re-executed somewhere in the sweep",
-                passed=worst == 0 or reexecuted > 0,
-                detail=f"{reexecuted} range(s) re-executed",
-            )
+                f"{stack}: every injected crash observed, run completed on "
+                "survivors",
+                passed=all(c.failures_injected >= c.point.x for c in mine)
+                and len(mine) == len(points),
+                detail=f"{len(mine)} runs",
+            ),
+            ShapeCheck(
+                f"{stack}: {worst} crashes do not beat the fault-free "
+                "baseline",
+                passed=degradation >= -0.01,
+                detail=f"degradation {degradation:+.1%}",
+            ),
+        ]
+    reexecuted = sum(c.chunks_reexecuted for c in result.cells)
+    checks.append(
+        ShapeCheck(
+            "stranded chunks were re-executed somewhere in the sweep",
+            passed=worst == 0 or reexecuted > 0,
+            detail=f"{reexecuted} range(s) re-executed",
         )
-        self.checks = checks
-        return checks
-
-    def to_text(self) -> str:
-        """Paper-style report: makespan vs failure count per technique."""
-        spec = self.spec
-        lines = [spec.title, "=" * len(spec.title)]
-        header = (
-            f"{'technique':>12} | {'crashes':>7} | {'T':>10} | "
-            f"{'degr.':>7} | {'re-exec':>7} | {'failovers':>9} | {'leases':>6}"
-        )
-        lines.append(header)
-        lines.append("-" * len(header))
-        for inter in spec.inters:
-            for cell in sorted(
-                (c for c in self.cells if c.inter == inter),
-                key=lambda c: c.n_crashes,
-            ):
-                lines.append(
-                    f"{inter + '+' + spec.intra:>12} | {cell.n_crashes:>7} |"
-                    f" {cell.time:>9.4g}s |"
-                    f" {self.degradation(inter, cell.n_crashes):>+6.1%} |"
-                    f" {cell.n_reexecuted:>7} | {cell.n_failovers:>9} |"
-                    f" {cell.n_leases_broken:>6}"
-                )
-        lines.append("\nshape checks (fault-injection extension):")
-        for check in self.checks or self.run_checks():
-            lines.append(check.line())
-        return "\n".join(lines)
-
-    @property
-    def all_passed(self) -> bool:
-        """Whether every fault-sweep shape check passed."""
-        return all(c.passed for c in (self.checks or self.run_checks()))
+    )
+    return checks
 
 
-def run_fault_variant(
-    spec: "FaultVariantSpec | str",
-    scale: Optional[str] = None,
-    seed: int = 0,
-    progress: Optional[Callable[[str], None]] = None,
-) -> FaultVariantResult:
-    """Sweep one fault-resilience comparison (a :func:`fault_variant`
-    spec or a figure id to derive it from) and evaluate its checks."""
-    from repro.cluster.faults import FaultModel
-
-    if isinstance(spec, str):
-        spec = fault_variant(spec)
-    workload = figure_workload(spec.app, scale or scale_from_env())
-    cluster = minihpc(spec.n_nodes, spec.ppn)
-    cells: List[FaultCell] = []
-    for inter in spec.inters:
-        for n_crashes in spec.crash_counts:
-            faults = (
-                FaultModel.random_crashes(
-                    n_crashes, spec.n_nodes, spec.ppn, spec.t_window,
-                    seed=spec.fault_seed,
-                )
-                if n_crashes
-                else None
-            )
-            result = run_hierarchical(
-                workload,
-                cluster,
-                inter=inter,
-                intra=spec.intra,
-                approach="mpi+mpi",
-                ppn=spec.ppn,
-                seed=seed,
-                collect_chunks=False,
-                faults=faults,
-            )
-            cell = FaultCell(
-                inter=inter,
-                n_crashes=n_crashes,
-                time=result.parallel_time,
-                n_failures=int(result.counters.get("failures_injected", 0)),
-                n_reexecuted=int(result.counters.get("chunks_reexecuted", 0)),
-                n_failovers=int(result.counters.get("failovers", 0)),
-                n_leases_broken=int(
-                    result.counters.get("lock_leases_broken", 0)
-                ),
-            )
-            cells.append(cell)
-            if progress is not None:
-                progress(
-                    f"  {inter}+{spec.intra:<7} crashes={n_crashes:<2} "
-                    f"T={cell.time:.4g}s re-exec={cell.n_reexecuted}"
-                )
-    result = FaultVariantResult(spec=spec, cells=cells)
-    result.run_checks()
-    return result
-
-
-# ---------------------------------------------------------------------------
-# dCC sweep: coordinator contention vs distributed chunk calculation (PR 7)
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class DccVariantSpec:
-    """One coordinator-contention comparison: the centralised
-    master-worker, the hierarchical mpi+mpi queues and distributed
-    chunk calculation swept over growing node width (``ppn``).
-
-    As ``ppn`` grows every worker of the coordinator approaches queues
-    on one agent, while dCC pays exactly one remote atomic per chunk —
-    the contention argument of arXiv 2101.07050, measured on the same
-    simulated machine.
-    """
-
-    figure_id: str
-    paper_ref: str
-    app: str
-    inter: str = "SS"
-    intra: str = "SS"
-    n_nodes: int = 4
-    ppn_counts: Tuple[int, ...] = (4, 8, 16, 32)
-    approaches: Tuple[str, ...] = ("master-worker", "mpi+mpi", "dcc")
-
-    @property
-    def title(self) -> str:
-        """Human-readable header for the report."""
-        return (
-            f"{self.paper_ref}: {self.app} coordinator contention vs dCC — "
-            f"{' vs '.join(self.approaches)} with {self.inter}+{self.intra} "
-            f"on {self.n_nodes} nodes, ppn in {list(self.ppn_counts)}"
-        )
+def _fault_rows(result: VariantResult) -> List[str]:
+    """Makespan vs failure count per technique."""
+    header = (
+        f"{'technique':>12} | {'crashes':>7} | {'T':>10} | "
+        f"{'degr.':>7} | {'re-exec':>7} | {'failovers':>9} | {'leases':>6}"
+    )
+    return [header, "-" * len(header)] + [
+        f"{c.point.stack:>12} | {c.point.x:>7} | {c.parallel_time:>9.4g}s |"
+        f" {result.degradation(panel, c.point.x):>+6.1%} |"
+        f" {c.chunks_reexecuted:>7} | {c.failovers:>9} | {c.lock_leases_broken:>6}"
+        for panel in result.spec.panels
+        for c in result.panel_cells(panel)
+    ]
 
 
 def dcc_variant(
@@ -920,184 +810,101 @@ def dcc_variant(
     intra: str = "SS",
     n_nodes: int = 4,
     ppn_counts: Tuple[int, ...] = (4, 8, 16, 32),
-) -> DccVariantSpec:
+) -> VariantSpec:
     """Derive the dCC contention comparison of a paper figure.
 
     Same application as the original figure, on a fixed node count with
-    workers-per-node on the x-axis.  Not part of the paper — the
+    workers-per-node on the x-axis and one panel per approach: the
+    centralised master-worker, the hierarchical mpi+mpi queues and
+    distributed chunk calculation.  As ``ppn`` grows every worker of the
+    coordinator approaches queues on one agent, while dCC pays exactly
+    one remote atomic per chunk — the contention argument of arXiv
+    2101.07050.  Not part of the paper — the
     distributed-chunk-calculation extension sweep::
 
-        run_dcc_variant(dcc_variant("fig5a"))
+        run_variant(dcc_variant("fig5a"))
     """
     base = FIGURES[figure_id]
-    return DccVariantSpec(
-        figure_id=f"{base.figure_id}-dcc",
-        paper_ref=f"{base.paper_ref} (dCC contention extension)",
+    approaches = ("master-worker", "mpi+mpi", "dcc")
+    clusters = {ppn: minihpc(n_nodes, ppn) for ppn in ppn_counts}
+    paper_ref = f"{base.paper_ref} (dCC contention extension)"
+    return VariantSpec(
+        title=(
+            f"{paper_ref}: {base.app} coordinator contention vs dCC — "
+            f"{' vs '.join(approaches)} with {inter}+{intra} "
+            f"on {n_nodes} nodes, ppn in {list(ppn_counts)}"
+        ),
+        paper_ref=paper_ref,
         app=base.app,
-        inter=inter,
-        intra=intra,
-        n_nodes=n_nodes,
-        ppn_counts=ppn_counts,
+        extension="dCC contention extension",
+        points=tuple(
+            VariantPoint(a, ppn, a, inter, intra, n_nodes, ppn, clusters[ppn])
+            for a in approaches
+            for ppn in ppn_counts
+        ),
+        rows=_dcc_rows,
+        checks=_dcc_checks,
     )
 
 
-@dataclass(frozen=True)
-class DccCell:
-    """One contention-sweep point: an approach at one node width."""
-
-    approach: str
-    ppn: int
-    time: float
-    #: total atomics retired by the global RMA window (0 for approaches
-    #: without one) and the scheduling steps dCC dispensed
-    global_atomics: int
-    dcc_steps: int
-    #: measured distance-priced queue traffic in seconds
-    placement_cost: float
-
-
-@dataclass
-class DccVariantResult:
-    """Outcome of one coordinator-contention comparison sweep."""
-
-    spec: DccVariantSpec
-    cells: List[DccCell]
-    checks: List[ShapeCheck] = field(default_factory=list)
-
-    def series(self, approach: str) -> Dict[int, float]:
-        """ppn -> makespan for one approach panel."""
-        return {
-            c.ppn: c.time
-            for c in sorted(self.cells, key=lambda c: c.ppn)
-            if c.approach == approach
-        }
-
-    def run_checks(self) -> List[ShapeCheck]:
-        """dCC must complete every sweep point, retire exactly one
-        atomic per dispensed step plus one exhausted fetch per rank,
-        and not lose to the centralised coordinator at the widest
-        node."""
-        spec = self.spec
-        checks: List[ShapeCheck] = []
-        for approach in spec.approaches:
-            mine = [c for c in self.cells if c.approach == approach]
-            checks.append(
-                ShapeCheck(
-                    f"{approach}: one run per node width",
-                    passed=len(mine) == len(spec.ppn_counts),
-                    detail=f"{len(mine)}/{len(spec.ppn_counts)} runs",
-                )
-            )
-        dcc_cells = [c for c in self.cells if c.approach == "dcc"]
-        accounting = all(
-            c.global_atomics == c.dcc_steps + spec.n_nodes * c.ppn
-            for c in dcc_cells
-        )
+def _dcc_checks(result: VariantResult) -> List[ShapeCheck]:
+    """dCC must complete every sweep point, retire exactly one atomic
+    per dispensed step plus one exhausted fetch per rank, and not lose
+    to the centralised coordinator at the widest node."""
+    spec = result.spec
+    checks: List[ShapeCheck] = []
+    for panel, points in spec.panels.items():
+        runs = len(result.panel_cells(panel))
         checks.append(
             ShapeCheck(
-                "dcc: atomics == dispensed steps + one exhausted fetch "
-                "per rank",
-                passed=bool(dcc_cells) and accounting,
-                detail=f"{len(dcc_cells)} widths checked",
+                f"{panel}: one run per node width",
+                passed=runs == len(points),
+                detail=f"{runs}/{len(points)} runs",
             )
         )
-        if "master-worker" in spec.approaches and dcc_cells:
-            widest = max(spec.ppn_counts)
-            t_dcc = self.series("dcc").get(widest)
-            t_coord = self.series("master-worker").get(widest)
-            ok = (
-                t_dcc is not None
-                and t_coord is not None
-                and t_dcc <= t_coord * 1.01
-            )
-            checks.append(
-                ShapeCheck(
-                    f"dcc does not lose to the coordinator at ppn={widest}",
-                    passed=ok,
-                    detail=(
-                        f"T_dcc={t_dcc:.4g}s vs T_mw={t_coord:.4g}s"
-                        if t_dcc is not None and t_coord is not None
-                        else "missing cells"
-                    ),
-                )
-            )
-        self.checks = checks
-        return checks
-
-    def to_text(self) -> str:
-        """Paper-style report: makespan vs node width per approach."""
-        spec = self.spec
-        lines = [spec.title, "=" * len(spec.title)]
-        header = (
-            f"{'approach':>13} | {'ppn':>4} | {'T':>10} | "
-            f"{'atomics':>8} | {'steps':>6} | {'priced traffic':>14}"
+    dcc_cells = result.panel_cells("dcc")
+    checks.append(
+        ShapeCheck(
+            "dcc: atomics == dispensed steps + one exhausted fetch per rank",
+            passed=bool(dcc_cells) and all(
+                c.global_atomics == c.dcc_steps + c.point.n_nodes * c.point.ppn
+                for c in dcc_cells
+            ),
+            detail=f"{len(dcc_cells)} widths checked",
         )
-        lines.append(header)
-        lines.append("-" * len(header))
-        for approach in spec.approaches:
-            for cell in sorted(
-                (c for c in self.cells if c.approach == approach),
-                key=lambda c: c.ppn,
-            ):
-                lines.append(
-                    f"{approach:>13} | {cell.ppn:>4} | {cell.time:>9.4g}s |"
-                    f" {cell.global_atomics:>8} | {cell.dcc_steps:>6} |"
-                    f" {cell.placement_cost * 1e6:>12.1f}us"
-                )
-        lines.append("\nshape checks (dCC contention extension):")
-        for check in self.checks or self.run_checks():
-            lines.append(check.line())
-        return "\n".join(lines)
-
-    @property
-    def all_passed(self) -> bool:
-        """Whether every contention-sweep shape check passed."""
-        return all(c.passed for c in (self.checks or self.run_checks()))
-
-
-def run_dcc_variant(
-    spec: "DccVariantSpec | str",
-    scale: Optional[str] = None,
-    seed: int = 0,
-    progress: Optional[Callable[[str], None]] = None,
-) -> DccVariantResult:
-    """Sweep one coordinator-contention comparison (a :func:`dcc_variant`
-    spec or a figure id to derive it from) and evaluate its checks."""
-    if isinstance(spec, str):
-        spec = dcc_variant(spec)
-    workload = figure_workload(spec.app, scale or scale_from_env())
-    cells: List[DccCell] = []
-    for approach in spec.approaches:
-        for ppn in spec.ppn_counts:
-            result = run_hierarchical(
-                workload,
-                minihpc(spec.n_nodes, ppn),
-                inter=spec.inter,
-                intra=spec.intra,
-                approach=approach,
-                ppn=ppn,
-                seed=seed,
-                collect_chunks=False,
-            )
-            cell = DccCell(
-                approach=approach,
-                ppn=ppn,
-                time=result.parallel_time,
-                global_atomics=int(result.counters.get("global_atomics", 0)),
-                dcc_steps=int(result.counters.get("dcc_steps", 0)),
-                placement_cost=float(
-                    result.counters.get("placement_cost_s", 0.0)
+    )
+    if "master-worker" in spec.panels and dcc_cells:
+        widest = max(p.x for p in spec.points)
+        t_dcc = result.series("dcc").get(widest)
+        t_coord = result.series("master-worker").get(widest)
+        found = t_dcc is not None and t_coord is not None
+        checks.append(
+            ShapeCheck(
+                f"dcc does not lose to the coordinator at ppn={widest}",
+                passed=found and t_dcc <= t_coord * 1.01,
+                detail=(
+                    f"T_dcc={t_dcc:.4g}s vs T_mw={t_coord:.4g}s"
+                    if found
+                    else "missing cells"
                 ),
             )
-            cells.append(cell)
-            if progress is not None:
-                progress(
-                    f"  {approach:<13} ppn={ppn:<3} T={cell.time:.4g}s "
-                    f"atomics={cell.global_atomics}"
-                )
-    result = DccVariantResult(spec=spec, cells=cells)
-    result.run_checks()
-    return result
+        )
+    return checks
+
+
+def _dcc_rows(result: VariantResult) -> List[str]:
+    """Makespan vs node width per approach."""
+    header = (
+        f"{'approach':>13} | {'ppn':>4} | {'T':>10} | "
+        f"{'atomics':>8} | {'steps':>6} | {'priced traffic':>14}"
+    )
+    return [header, "-" * len(header)] + [
+        f"{panel:>13} | {c.point.x:>4} | {c.parallel_time:>9.4g}s |"
+        f" {c.global_atomics:>8} | {c.dcc_steps:>6} |"
+        f" {c.placement_cost_s * 1e6:>12.1f}us"
+        for panel in result.spec.panels
+        for c in result.panel_cells(panel)
+    ]
 
 
 def run_sync_illustration(scale: str = "quick", seed: int = 0) -> str:

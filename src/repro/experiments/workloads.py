@@ -2,7 +2,7 @@
 
 These builders pin down the exact kernels behind Figures 4-7.  The
 paper does not publish its Mandelbrot/PSIA configuration, so the
-reproduction fixes parameters with two goals (see EXPERIMENTS.md):
+reproduction fixes parameters with two goals:
 
 * **Mandelbrot** — strong, spatially structured imbalance.  We compute
   the lower half-plane ``y in [-1.25, 0)`` so per-row cost *increases*

@@ -49,11 +49,6 @@ class Lock:
         """Whether some owner holds the lock."""
         return self._locked
 
-    @property
-    def n_waiters(self) -> int:
-        """Processes blocked in :meth:`acquire` (FIFO queue length)."""
-        return len(self._waiters)
-
     def try_acquire(self, owner: str = "?") -> bool:
         """Non-blocking acquire; returns True on success."""
         if self._locked:

@@ -82,7 +82,3 @@ class Mailbox:
         """Blocking receive from any source (generator)."""
         message = yield from self.get(ANY_SOURCE, tag)
         return message
-
-    @property
-    def backlog(self) -> int:
-        return len(self._queue)

@@ -134,16 +134,9 @@ class MpiWorld:
         self._shared_windows[node] = window
         return window
 
-    def shared_window_of(self, node) -> SharedWindow:
-        return self._shared_windows[node]
-
     @property
     def windows(self) -> List[Window]:
         return list(self._windows)
-
-    @property
-    def shared_windows(self) -> Dict[Any, SharedWindow]:
-        return dict(self._shared_windows)
 
 
 class RankCtx:
@@ -226,13 +219,3 @@ class RankCtx:
         stages = math.ceil(math.log2(self.size)) if self.size > 1 else 0
         yield Overhead(self.world.costs.mpi.collective_stage * stages)
         yield from self.world._barrier.wait()
-
-    # -- windows -----------------------------------------------------------
-    def win_allocate(self, host_rank: int, cells: Dict[str, int]) -> Window:
-        """Non-collective convenience wrapper (allocation cost ignored —
-        windows are created once per loop, never on the critical path)."""
-        return self.world.create_window(host_rank, cells)
-
-    def shared_window(self) -> SharedWindow:
-        """This node's shared-memory window (must already exist)."""
-        return self.world.shared_window_of(self.node)

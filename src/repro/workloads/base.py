@@ -124,7 +124,7 @@ class Workload:
 
         This is how absolute magnitudes are calibrated to the paper's
         reported numbers without touching the cost *shape* (see
-        EXPERIMENTS.md).
+        :mod:`repro.experiments.intext`).
         """
         if self.total_cost <= 0:
             raise ValueError("cannot scale a zero-cost workload")

@@ -282,9 +282,9 @@ def test_cli_approach_dcc(capsys):
 # the contention sweep (figures variant)
 # ---------------------------------------------------------------------------
 def test_dcc_variant_sweep_passes_checks():
-    from repro.experiments.figures import run_dcc_variant
+    from repro.experiments.figures import dcc_variant, run_variant
 
-    result = run_dcc_variant("fig5a", scale="tiny")
+    result = run_variant(dcc_variant("fig5a"), scale="tiny")
     assert result.cells
     text = result.to_text()
     assert "dcc" in text and "master-worker" in text

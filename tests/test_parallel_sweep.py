@@ -397,11 +397,11 @@ def test_faulted_and_fault_free_sweeps_do_not_share_cache(workload, tmp_path):
 
 
 def test_fault_variant_smoke():
-    from repro.experiments.figures import fault_variant, run_fault_variant
+    from repro.experiments.figures import fault_variant, run_variant
 
     spec = fault_variant("fig5a", n_nodes=2, ppn=4, crash_counts=(0, 2),
                          inters=("FAC2",))
-    result = run_fault_variant(spec, scale="tiny")
+    result = run_variant(spec, scale="tiny")
     assert result.all_passed, result.to_text()
     assert "crash-stop" in result.to_text()
     assert result.degradation("FAC2", 2) >= -0.01

@@ -295,11 +295,14 @@ def test_optimized_reduces_measured_priced_cost_on_asymmetric_cluster():
 
 
 def test_placement_variant_sweep_passes_on_asymmetric_topology():
-    from repro.experiments.figures import placement_variant, run_placement_variant
+    from repro.experiments.figures import placement_variant, run_variant
 
     spec = placement_variant("fig5a", node_counts=(2,))
-    spec = dc_replace(spec, intras=(spec.intras[0],))  # one panel suffices
-    result = run_placement_variant(spec, scale="tiny")
+    first = spec.points[0].panel  # one panel suffices
+    spec = dc_replace(
+        spec, points=tuple(p for p in spec.points if p.panel == first)
+    )
+    result = run_variant(spec, scale="tiny")
     assert result.all_passed, result.to_text()
     text = result.to_text()
     assert "optimized" in text and "leader" in text
