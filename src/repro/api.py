@@ -27,7 +27,9 @@ if TYPE_CHECKING:  # pragma: no cover
 APPROACHES = ("mpi+mpi", "mpi+openmp", "flat-mpi", "master-worker", "dcc")
 
 
-def _resolve_model(approach: str) -> "ExecutionModel":
+def _resolve_model(approach: Union[str, "ExecutionModel"]) -> "ExecutionModel":
+    if not isinstance(approach, str):
+        return approach  # an ExecutionModel instance, used as given
     from repro.models import (
         DccModel,
         FlatMpiModel,
@@ -59,7 +61,7 @@ def run_hierarchical(
     cluster: "ClusterSpec",
     inter: Union[str, Any],
     intra: Union[str, Any, None] = None,
-    approach: str = "mpi+mpi",
+    approach: Union[str, "ExecutionModel"] = "mpi+mpi",
     ppn: Optional[int] = None,
     seed: int = 0,
     collect_trace: bool = False,
@@ -96,7 +98,9 @@ def run_hierarchical(
         or ``"dcc"`` (distributed chunk calculation, arXiv 2101.07050:
         the stack is flattened ahead of time and every rank resolves
         its own chunks from one fetch-and-incremented counter —
-        deterministic techniques only).
+        deterministic techniques only).  A configured
+        :class:`~repro.models.base.ExecutionModel` instance (for example
+        ``MpiOpenMpModel(nowait_selffetch=True)``) is run as given.
     ppn:
         Workers per node (defaults to each node's core count).
     seed:

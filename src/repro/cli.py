@@ -85,6 +85,16 @@ def _cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
+def _report(results) -> int:
+    """Print each result's report; exit status 1 if a shape check failed."""
+    ok = True
+    for result in results:
+        print(result.to_text())
+        print()
+        ok &= result.all_passed
+    return 0 if ok else 1
+
+
 def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.experiments.figures import FIGURES, run_figure
 
@@ -92,9 +102,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     node_counts = (
         tuple(int(n) for n in args.nodes.split(",")) if args.nodes else None
     )
-    ok = True
-    for figure_id in ids:
-        result = run_figure(
+    return _report(
+        run_figure(
             figure_id,
             scale=args.scale,
             seed=args.seed,
@@ -103,10 +112,8 @@ def _cmd_figure(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             cache_dir=args.cache_dir,
         )
-        print(result.to_text())
-        print()
-        ok &= result.all_passed
-    return 0 if ok else 1
+        for figure_id in ids
+    )
 
 
 def _cmd_sync(args: argparse.Namespace) -> int:
@@ -117,29 +124,24 @@ def _cmd_sync(args: argparse.Namespace) -> int:
 
 
 def _cmd_intext(args: argparse.Namespace) -> int:
-    from repro.experiments.intext import run_intext
+    from repro.experiments.figures import run_variant
+    from repro.experiments.intext import intext_variant
 
-    print(run_intext(scale=args.scale or "default", seed=args.seed))
-    return 0
+    scale = args.scale or "default"
+    return _report([run_variant(intext_variant(), scale=scale, seed=args.seed)])
 
 
 def _cmd_ablation(args: argparse.Namespace) -> int:
-    from repro.experiments import ablations
+    from repro.experiments.ablations import ABLATIONS
+    from repro.experiments.figures import run_variant
 
-    table = {
-        "lockpoll": ablations.ablation_lockpoll,
-        "models": ablations.ablation_models,
-        "nowait": ablations.ablation_nowait,
-        "ppn": ablations.ablation_ppn,
-    }
-    ids = sorted(table) if args.id == "all" else [args.id]
-    for ablation_id in ids:
-        if ablation_id not in table:
-            print(f"unknown ablation {ablation_id!r}; known: {sorted(table)}")
-            return 2
-        print(table[ablation_id](scale=args.scale, seed=args.seed))
-        print()
-    return 0
+    if args.id != "all" and args.id not in ABLATIONS:
+        print(f"unknown ablation {args.id!r}; known: {sorted(ABLATIONS)}")
+        return 2
+    ids = sorted(ABLATIONS) if args.id == "all" else [args.id]
+    return _report(
+        run_variant(ABLATIONS[i](), scale=args.scale, seed=args.seed) for i in ids
+    )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -231,6 +233,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return serve_main(forwarded)
 
 
+def _add_scale_seed(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scale", default=None,
+                   choices=["tiny", "quick", "default", "full"])
+    p.add_argument("--seed", type=int, default=0)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -252,11 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="regenerate paper figures 4-7")
     p.add_argument("--id", default="all",
                    help="fig4a..fig7b or 'all' (default)")
-    p.add_argument("--scale", default=None,
-                   choices=["tiny", "quick", "default", "full"])
+    _add_scale_seed(p)
     p.add_argument("--nodes", default=None,
                    help="comma-separated node counts (default 2,4,8,16)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
                    help="simulate independent grid cells on N processes")
     p.add_argument("--cache-dir", default=None,
@@ -265,23 +271,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_figure)
 
     p = sub.add_parser("sync", help="regenerate figures 2/3 (Gantt charts)")
-    p.add_argument("--scale", default=None,
-                   choices=["tiny", "quick", "default", "full"])
-    p.add_argument("--seed", type=int, default=0)
+    _add_scale_seed(p)
     p.set_defaults(fn=_cmd_sync)
 
     p = sub.add_parser("intext", help="reproduce the Sec. 5 in-text numbers")
-    p.add_argument("--scale", default=None,
-                   choices=["tiny", "quick", "default", "full"])
-    p.add_argument("--seed", type=int, default=0)
+    _add_scale_seed(p)
     p.set_defaults(fn=_cmd_intext)
 
     p = sub.add_parser("ablation", help="run ablations A-1..A-4")
     p.add_argument("--id", default="all",
                    help="lockpoll | models | nowait | ppn | all")
-    p.add_argument("--scale", default=None,
-                   choices=["tiny", "quick", "default", "full"])
-    p.add_argument("--seed", type=int, default=0)
+    _add_scale_seed(p)
     p.set_defaults(fn=_cmd_ablation)
 
     p = sub.add_parser("run", help="run one simulated loop execution")
@@ -325,9 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="NUMA domains per socket (the 4th machine tier a "
                         "4-level stack schedules at)")
     p.add_argument("--ppn", type=int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scale", default=None,
-                   choices=["tiny", "quick", "default", "full"])
+    _add_scale_seed(p)
     p.add_argument("--costs", default=None,
                    choices=["default", "numa", "calibrated"],
                    help="cost preset: 'default' (distance-blind), 'numa' "

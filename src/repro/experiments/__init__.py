@@ -7,11 +7,15 @@ The paper's evaluation artefacts map to this package as follows
 * Figure 2/3 (sync illustration) -> :func:`repro.experiments.figures.run_sync_illustration`
 * Figures 4-7 -> :func:`repro.experiments.figures.run_figure` with ids
   ``fig4a`` ... ``fig7b``
-* In-text numbers (Sec. 5) -> :func:`repro.experiments.intext.run_intext`
-* Ablations A-1..A-4 -> :mod:`repro.experiments.ablations`
+* In-text numbers (Sec. 5) -> :func:`repro.experiments.intext.intext_variant`
+* Ablations A-1..A-4 -> the builders of :mod:`repro.experiments.ablations`
 * Extension sweeps (window placement, crash faults, dCC) ->
-  :func:`repro.experiments.figures.run_variant` over a
-  :class:`~repro.experiments.figures.VariantSpec`
+  :func:`~repro.experiments.figures.placement_variant`,
+  :func:`~repro.experiments.figures.fault_variant` and
+  :func:`~repro.experiments.figures.dcc_variant`
+
+The last three rows build a :class:`~repro.experiments.figures.VariantSpec`
+that :func:`repro.experiments.figures.run_variant` runs.
 
 All experiments run on the calibrated figure workloads from
 :mod:`repro.experiments.workloads` and print paper-style series plus

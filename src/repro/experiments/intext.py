@@ -10,18 +10,23 @@ Absolute agreement is not expected (our substrate is a simulator and
 the paper's kernel parameters are unpublished); the point of this
 experiment is to record paper-vs-measured side by side, including the
 win/lose direction of every comparison.  Directions the paper states
-and the reproduction keeps are asserted as PASS/FAIL lines; known
-deviations are printed as INFO lines, not asserted.
+and the reproduction keeps are shape checks (PASS/FAIL lines); known
+deviations are printed as INFO lines, not asserted::
+
+    run_variant(intext_variant(), scale="quick")
+
+Unit convention: quoted and simulated times are seconds.  Index
+convention: a run is sized by its node count and :data:`PPN` ranks per
+node; no rank index identifies a run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Tuple
 
-from repro.api import run_hierarchical
-from repro.cluster.machine import minihpc
-from repro.experiments.workloads import figure_mandelbrot, figure_psia
+from repro.experiments.figures import (
+    ShapeCheck, VariantPoint, VariantResult, VariantSpec)
 
 
 @dataclass(frozen=True)
@@ -50,78 +55,74 @@ PAPER_NUMBERS: List[InTextNumber] = [
 PPN = 16
 
 
-def _calibrated_workload(app: str, scale: str):
-    """Scale the figure workload so MPI+MPI GSS+STATIC at 2 nodes would
-    land near the paper's quoted seconds under ideal balance."""
-    anchor = next(
-        n for n in PAPER_NUMBERS
-        if n.app == app and n.approach == "mpi+mpi" and n.nodes == 2
+#: app -> total work (seconds) that puts MPI+MPI GSS+STATIC at 2 nodes
+#: near the paper's quoted seconds under ideal balance (core-seconds)
+TOTAL_SECONDS = {
+    n.app: n.paper_seconds * 2 * PPN
+    for n in PAPER_NUMBERS if n.approach == "mpi+mpi" and n.nodes == 2
+}
+
+
+def intext_variant() -> VariantSpec:
+    """Every quoted configuration, run on its calibrated workload."""
+    return VariantSpec(
+        title="In-text numbers (paper Sec. 5) - paper vs simulated",
+        paper_ref="Sec. 5 (E-N1/E-N2 quoted seconds)",
+        extension="paper Sec. 5 in-text directions",
+        points=tuple(
+            VariantPoint(
+                f"{n.app} {n.approach}", n.nodes, n.app, n.approach,
+                *n.combination.split("+"), n.nodes, PPN,
+                total_seconds=TOTAL_SECONDS[n.app],
+            )
+            for n in PAPER_NUMBERS
+        ),
+        rows=_intext_rows,
+        checks=_intext_checks,
     )
-    total = anchor.paper_seconds * 2 * PPN  # implied core-seconds
-    if app == "mandelbrot":
-        return figure_mandelbrot(scale, total_seconds=total)
-    return figure_psia(scale, total_seconds=total)
 
 
-def run_intext(scale: str = "default", seed: int = 0) -> str:
-    """Run every quoted configuration and tabulate paper vs measured."""
-    lines = [
-        "In-text numbers (paper Sec. 5) - paper vs simulated",
-        "=" * 60,
+def _gaps(result: VariantResult) -> Dict[Tuple[str, int], float]:
+    """(app, nodes) -> MPI+OpenMP time over MPI+MPI time."""
+    t = {(c.point.app, c.point.approach, c.point.x): c.parallel_time
+         for c in result.cells}
+    return {(a, n): t[a, "mpi+openmp", n] / t[a, "mpi+mpi", n] for a, _, n in t}
+
+
+def _intext_rows(result: VariantResult) -> List[str]:
+    gaps = _gaps(result)
+    narrows = gaps["mandelbrot", 2] > gaps["mandelbrot", 16]
+    return [
         f"{'exp':<6} {'app':<11} {'approach':<11} {'combo':<12} "
         f"{'nodes':>5} {'paper':>8} {'ours':>9} {'ratio':>6}",
         "-" * 74,
-    ]
-    measured = {}
-    for number in PAPER_NUMBERS:
-        workload = _calibrated_workload(number.app, scale)
-        result = run_hierarchical(
-            workload,
-            minihpc(number.nodes, PPN),
-            inter="GSS",
-            intra="STATIC",
-            approach=number.approach,
-            ppn=PPN,
-            seed=seed,
-            collect_chunks=False,
-        )
-        ours = result.parallel_time
-        measured[(number.app, number.approach, number.nodes)] = ours
-        ratio = ours / number.paper_seconds
-        lines.append(
-            f"{number.experiment:<6} {number.app:<11} {number.approach:<11} "
-            f"{number.combination:<12} {number.nodes:>5} "
-            f"{number.paper_seconds:>7.1f}s {ours:>8.2f}s {ratio:>6.2f}"
-        )
-
-    # qualitative directions the paper emphasises
-    lines.append("")
-    lines.append("directional checks:")
-
-    def check(cond: bool, text: str) -> None:
-        lines.append(f"  [{'PASS' if cond else 'FAIL'}] {text}")
-
-    def info(cond: bool, text: str) -> None:
-        # observed-but-not-asserted: a known deviation from the paper
-        lines.append(f"  [{'INFO:holds' if cond else 'INFO:deviates'}] {text}")
-
-    mm2 = measured[("mandelbrot", "mpi+mpi", 2)]
-    mo2 = measured[("mandelbrot", "mpi+openmp", 2)]
-    mm16 = measured[("mandelbrot", "mpi+mpi", 16)]
-    mo16 = measured[("mandelbrot", "mpi+openmp", 16)]
-    check(mm2 < mo2, "Mandelbrot GSS+STATIC @2 nodes: MPI+MPI faster (paper: 19.6 vs 61.5)")
-    check(mm16 < mo16, "Mandelbrot GSS+STATIC @16 nodes: MPI+MPI faster (paper: 3.1 vs 4.5)")
-    info(
-        (mo2 / mm2) > (mo16 / mm16),
-        "Mandelbrot: the gap narrows from 2 to 16 nodes (paper: 3.1x -> 1.45x; "
-        "our simulator keeps granularity effects dominant at 16 nodes, so the "
+    ] + [
+        f"{n.experiment:<6} {n.app:<11} {n.approach:<11} {n.combination:<12} "
+        f"{n.nodes:>5} {n.paper_seconds:>7.1f}s {c.parallel_time:>8.2f}s "
+        f"{c.parallel_time / n.paper_seconds:>6.2f}"
+        for n, c in zip(PAPER_NUMBERS, result.cells)
+    ] + [
+        "",  # observed but not asserted: a known deviation from the paper
+        f"  [{'INFO:holds' if narrows else 'INFO:deviates'}] Mandelbrot: the "
+        "gap narrows from 2 to 16 nodes (paper: 3.1x -> 1.45x; our "
+        "simulator keeps granularity effects dominant at 16 nodes, so the "
         "gap need not narrow — recorded as a known deviation)",
-    )
-    pm2 = measured[("psia", "mpi+mpi", 2)]
-    po2 = measured[("psia", "mpi+openmp", 2)]
-    check(pm2 < po2 * 1.02, "PSIA GSS+STATIC @2 nodes: MPI+MPI same or faster (paper: 233 vs 245)")
-    check(
-        (po2 / pm2) < (mo2 / mm2),
-        "PSIA gap smaller than Mandelbrot gap (less load imbalance)",
-    )
-    return "\n".join(lines)
+    ]
+
+
+def _intext_checks(result: VariantResult) -> List[ShapeCheck]:
+    gaps = _gaps(result)
+    m2, m16, p2 = gaps["mandelbrot", 2], gaps["mandelbrot", 16], gaps["psia", 2]
+    return [
+        ShapeCheck(text, passed=passed, detail=f"MPI+OpenMP/MPI+MPI {detail}")
+        for text, passed, detail in (
+            ("Mandelbrot GSS+STATIC @2 nodes: MPI+MPI faster (paper: 19.6 vs 61.5)",
+             m2 > 1.0, f"{m2:.2f}x"),
+            ("Mandelbrot GSS+STATIC @16 nodes: MPI+MPI faster (paper: 3.1 vs 4.5)",
+             m16 > 1.0, f"{m16:.2f}x"),
+            ("PSIA GSS+STATIC @2 nodes: MPI+MPI same or faster (paper: 233 vs 245)",
+             p2 * 1.02 > 1.0, f"{p2:.2f}x"),
+            ("PSIA gap smaller than Mandelbrot gap (less load imbalance)",
+             p2 < m2, f"PSIA {p2:.2f}x vs Mandelbrot {m2:.2f}x"),
+        )
+    ]

@@ -105,13 +105,16 @@ def figure_psia(scale: str = "default", total_seconds: Optional[float] = None) -
     return _CACHE[key]
 
 
-def figure_workload(app: str, scale: str = "default") -> Workload:
-    """Dispatch by application name (``mandelbrot`` / ``psia``)."""
+def figure_workload(
+    app: str, scale: str = "default", total_seconds: Optional[float] = None
+) -> Workload:
+    """Dispatch by application name (``mandelbrot`` / ``psia``);
+    ``total_seconds`` rescales the total work as in the builders."""
     app = app.lower()
     if app == "mandelbrot":
-        return figure_mandelbrot(scale)
+        return figure_mandelbrot(scale, total_seconds)
     if app == "psia":
-        return figure_psia(scale)
+        return figure_psia(scale, total_seconds)
     raise ValueError(f"unknown figure application {app!r}")
 
 

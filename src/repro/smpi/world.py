@@ -70,7 +70,6 @@ class MpiWorld:
         self.contexts: List[RankCtx] = [
             RankCtx(self, rank) for rank in range(self.size)
         ]
-        self._windows: List[Window] = []
         self._shared_windows: Dict[Any, SharedWindow] = {}
 
     # ------------------------------------------------------------------
@@ -109,9 +108,7 @@ class MpiWorld:
     # ------------------------------------------------------------------
     def create_window(self, host_rank: int, cells: Dict[str, int]) -> Window:
         """Collectively allocate an RMA window hosted on ``host_rank``."""
-        window = Window(self, host_rank, cells)
-        self._windows.append(window)
-        return window
+        return Window(self, host_rank, cells)
 
     def create_shared_window(
         self, node, cells: Dict[str, int], home_rank: Optional[int] = None
@@ -133,10 +130,6 @@ class MpiWorld:
         window = SharedWindow(self, node, cells, home_rank=home_rank)
         self._shared_windows[node] = window
         return window
-
-    @property
-    def windows(self) -> List[Window]:
-        return list(self._windows)
 
 
 class RankCtx:

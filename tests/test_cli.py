@@ -72,6 +72,30 @@ def test_ablation_command(capsys):
     assert "A-3" in out
 
 
+@pytest.mark.parametrize(
+    "module, checks, argv",
+    [
+        ("ablations", "_nowait_checks", ["ablation", "--id", "nowait"]),
+        ("intext", "_intext_checks", ["intext"]),
+    ],
+)
+def test_variant_commands_exit_1_on_failed_shape_check(
+    capsys, monkeypatch, module, checks, argv
+):
+    import importlib
+
+    from repro.experiments.figures import ShapeCheck
+
+    monkeypatch.setattr(
+        importlib.import_module(f"repro.experiments.{module}"),
+        checks,
+        lambda result: [ShapeCheck("forced failure", passed=False)],
+    )
+    code, out = run_cli(capsys, *argv, "--scale", "tiny")
+    assert code == 1
+    assert "[FAIL] forced failure" in out
+
+
 def test_unknown_ablation(capsys):
     code, out = run_cli(capsys, "ablation", "--id", "nope", "--scale", "tiny")
     assert code == 2

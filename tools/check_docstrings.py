@@ -45,8 +45,10 @@ CHECKED_MODULES = [
     "src/repro/cluster/topology.py",
     "src/repro/api.py",
     "src/repro/core/chunking.py",
+    "src/repro/experiments/ablations.py",
     "src/repro/experiments/figures.py",
     "src/repro/experiments/harness.py",
+    "src/repro/experiments/intext.py",
     "src/repro/experiments/parallel.py",
     "src/repro/experiments/workloads.py",
     "src/repro/models/base.py",
