@@ -98,6 +98,9 @@ def _report(results) -> int:
 def _cmd_figure(args: argparse.Namespace) -> int:
     from repro.experiments.figures import FIGURES, run_figure
 
+    if args.id != "all" and args.id not in FIGURES:
+        print(f"unknown figure {args.id!r}; known: {sorted(FIGURES)}")
+        return 2
     ids = sorted(FIGURES) if args.id == "all" else [args.id]
     node_counts = (
         tuple(int(n) for n in args.nodes.split(",")) if args.nodes else None

@@ -22,6 +22,12 @@ fresh calculators each time a tier's local queue is refilled.  The two-level
 constructor :meth:`HierarchicalSpec.of` and the ``inter``/``intra``
 accessors are kept as the compatibility surface for the paper's
 ``X+Y`` world.
+
+Conventions: a level's ``p`` counts the child units it schedules, and
+its PE indices follow the tier: node index at level 0 of a
+hierarchical model, then the socket, NUMA-domain or core position
+within the parent group (the rank itself in the flat baselines).
+Chunk-calculation overheads (``chunk_overhead``) are seconds.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ class LevelSpec:
 
     @classmethod
     def of(cls, technique: "Technique | str", **kwargs) -> "LevelSpec":
+        """A level for ``technique`` (a registry name or a Technique)."""
         if isinstance(technique, str):
             technique = get_technique(technique)
         return cls(technique=technique, **kwargs)
@@ -58,6 +65,8 @@ class LevelSpec:
         self, n: int, p: int, rng: Optional[np.random.Generator] = None,
         chunk_overhead: Optional[float] = None,
     ) -> ChunkCalculator:
+        """A fresh calculator carving ``n`` iterations over ``p`` PEs,
+        clamped from below when the level sets ``min_chunk``."""
         calc = self.technique.make(
             n,
             p,
@@ -79,6 +88,8 @@ class _MinChunkWrapper(ChunkCalculator):
         self.inner = inner
         self.min_chunk = int(min_chunk)
         self.deterministic = inner.deterministic
+        # the forwarding hooks below listen exactly when the inner ones do
+        self.listens = inner.listens
         self._scheduled = 0
 
     def size_at(self, step: int, pe: Optional[int] = None) -> int:
@@ -271,6 +282,7 @@ class HierarchicalSpec:
     # -- introspection --------------------------------------------------
     @property
     def depth(self) -> int:
+        """Number of scheduling levels (the paper's ``X+Y`` is 2)."""
         return len(self.levels)
 
     @property

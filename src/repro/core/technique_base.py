@@ -18,6 +18,12 @@ This module provides:
   use the step-counter-only protocol; adaptive calculators
   (``deterministic = False``) additionally consult runtime feedback
   recorded through :meth:`ChunkCalculator.record`.
+
+Conventions: iteration times, overheads and feedback (``compute_time``,
+``overhead_time``, ``wait_time``, ``chunk_overhead``) are seconds.  A
+``pe`` is the index of a child unit at the calculator's level: a node
+index at the inter-node level of a hierarchical model, the rank itself
+in the flat baselines, a core, socket or NUMA position below that.
 """
 
 from __future__ import annotations
@@ -100,6 +106,19 @@ class ChunkCalculator:
     """
 
     deterministic: bool = True
+    #: whether runtime feedback changes anything: True exactly when the
+    #: class overrides :meth:`record` or :meth:`record_wait` (set per
+    #: class by ``__init_subclass__``).  Execution models deliver the
+    #: per-chunk feedback to listening calculators only.
+    listens: bool = False
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "listens" not in cls.__dict__:
+            cls.listens = (
+                cls.record is not ChunkCalculator.record
+                or cls.record_wait is not ChunkCalculator.record_wait
+            )
 
     def __init__(self, name: str, n: int, p: int):
         if n < 0:

@@ -302,7 +302,8 @@ class DccModel(ExecutionModel):
                 if run.trace is not None:
                     run.trace.add(ctx.name(), t0, sim.now, trace_mod.COMPUTE)
                 run.record_subchunk(step, start, size, pe=rank)
-                run.release_claim(rank, step, start, size)
+                if claims_on:
+                    run.release_claim(rank, step, start, size)
                 n_chunks += 1
                 n_iters += size
             finish_times[rank] = sim.now

@@ -100,9 +100,11 @@ class FlatMpiModel(ExecutionModel):
                 yield ComputeOnce(duration)  # jittered: unique per chunk, skip interning
                 if run.trace is not None:
                     run.trace.add(ctx.name(), t0, run.sim.now, trace_mod.COMPUTE)
-                calc.record(ctx.rank, size, compute_time=duration)
+                if calc.listens:
+                    calc.record(ctx.rank, size, compute_time=duration)
                 run.record_subchunk(step, start, size, pe=ctx.rank)
-                run.release_claim(ctx.rank, step, start, size)
+                if run.faults_active:
+                    run.release_claim(ctx.rank, step, start, size)
                 n_chunks += 1
                 n_iters += size
             finish_times[ctx.rank] = run.sim.now

@@ -82,8 +82,9 @@ class _QueuedChunk:
     taken: int = 0
     local_step: int = 0
     calc: Optional[ChunkCalculator] = None
-    #: feedback chain for runtime-adaptive ancestors: (calculator, pe)
-    #: pairs from the immediate parent up to the global queue
+    #: listening chain: the (calculator, pe) pairs from the immediate
+    #: parent up to the global queue whose calculator listens to
+    #: runtime feedback (built at deposit time)
     ancestors: Tuple[Tuple[ChunkCalculator, int], ...] = ()
 
     @property
@@ -146,6 +147,13 @@ class _LocalQueue:
         size: int,
         ancestors: Tuple[Tuple[ChunkCalculator, int], ...],
     ) -> None:
+        """Queue a chunk carved by the parent level.
+
+        ``ancestors`` is the chunk's feedback chain, immediate parent
+        first; only its listening calculators are kept, so a worker's
+        per-chunk feedback loop visits no calculator that ignores it.
+        """
+        ancestors = tuple(link for link in ancestors if link[0].listens)
         calc = self.run.spec.levels[self.level].make_calculator(
             size,
             self.n_children,
@@ -176,15 +184,15 @@ class _LocalQueue:
         while self.ranges:
             head = self.ranges[0]
             step = head.local_step
-            size = head.calc.size_at(step, pe=child)
-            size = min(size, head.remaining)
+            remaining = head.size - head.taken
+            size = min(head.calc.size_at(step, pe=child), remaining)
             if size <= 0:
                 self.ranges.pop(0)
                 continue
             sub_start = head.start + head.taken
             head.taken += size
             head.local_step += 1
-            if head.remaining == 0:
+            if size == remaining:
                 self.ranges.pop(0)
             return head, sub_start, size, step
         return None
@@ -622,8 +630,9 @@ class MpiMpiModel(ExecutionModel):
             if sub is not None:
                 # claim the taken range before the unlock yields: a
                 # crash between take and execution must find it in the
-                # ledger (no-op when faults are off)
-                run.claim(ctx.rank, sub[3], sub[1], sub[2])
+                # ledger
+                if run.faults_active:
+                    run.claim(ctx.rank, sub[3], sub[1], sub[2])
                 yield shm.unlock(ctx)
                 shm.release(ctx)
                 yield shm.sync(ctx)
@@ -651,12 +660,14 @@ class MpiMpiModel(ExecutionModel):
             yield shm.access(ctx, 3)
             if size > 0:
                 q.deposit(step, start, size, ancestors)
-                # ownership moved from this rank's claim into the queue
-                # (whole-group adoption covers the queue from here on)
-                run.release_claim(ctx.rank, step, start, size)
+                if run.faults_active:
+                    # ownership moved from this rank's claim into the
+                    # queue (whole-group adoption covers the queue from
+                    # here on)
+                    run.release_claim(ctx.rank, step, start, size)
                 run.record_level_chunk(q.level - 1, step, start, size, q.parent_pe)
                 sub = q.take(child)
-                if sub is not None:
+                if sub is not None and run.faults_active:
                     run.claim(ctx.rank, sub[3], sub[1], sub[2])
             else:
                 shm.cells["global_done"] = 1
@@ -681,6 +692,7 @@ class MpiMpiModel(ExecutionModel):
     ):
         sim = run.sim
         trace = run.trace
+        claims_on = run.faults_active
         worker_name = ctx.name()
         n_chunks = 0
         n_iters = 0
@@ -708,10 +720,11 @@ class MpiMpiModel(ExecutionModel):
             if trace is not None and sim.now > t_obtain:
                 trace.add(worker_name, t_obtain, sim.now, trace_mod.OBTAIN)
             # chunk-fetch wait feeds the ADAPT selectors along the
-            # refill path (a no-op for every other technique — a
-            # separate channel from record() so AWF-D/E stay bit-exact)
+            # refill path (a separate channel from record() so AWF-D/E
+            # stay bit-exact); only listening calculators are called
             obtain_wait = sim.now - t_obtain
-            head.calc.record_wait(child, obtain_wait)
+            if head.calc.listens:
+                head.calc.record_wait(child, obtain_wait)
             for calc, pe in head.ancestors:
                 calc.record_wait(pe, obtain_wait)
             duration = run.exec_time(sub_start, sub_size, ctx.node, ctx.core)
@@ -719,17 +732,19 @@ class MpiMpiModel(ExecutionModel):
             yield ComputeOnce(duration)  # jittered: unique per chunk, skip interning
             if trace is not None:
                 trace.add(worker_name, t0, sim.now, trace_mod.COMPUTE)
-            # runtime feedback flows to every level along the refill
-            # path, leaf first — adaptive techniques (AWF-*, AF) adapt
-            # at whichever level they are placed, not just the root
-            head.calc.record(child, sub_size, compute_time=duration)
+            # runtime feedback flows to every listening level along the
+            # refill path, leaf first — adaptive techniques (AWF-*, AF)
+            # adapt at whichever level they are placed, not just the root
+            if head.calc.listens:
+                head.calc.record(child, sub_size, compute_time=duration)
             for calc, pe in head.ancestors:
                 calc.record(pe, sub_size, compute_time=duration)
             # `head.local_step - 1` (not the `_step` captured at take
             # time) reproduces the original implementation's recording
             # bit-for-bit — the differential goldens pin it
             run.record_subchunk(head.local_step - 1, sub_start, sub_size, pe=ctx.rank)
-            run.release_claim(ctx.rank, _step, sub_start, sub_size)
+            if claims_on:
+                run.release_claim(ctx.rank, _step, sub_start, sub_size)
             n_chunks += 1
             n_iters += sub_size
 
@@ -745,11 +760,14 @@ class MpiMpiModel(ExecutionModel):
         """Depth-1 stacks: every rank fetches from the global queue."""
         sim = run.sim
         trace = run.trace
+        calc = queue.calc
+        listens = calc.listens
+        claims_on = run.faults_active
         n_chunks = 0
         n_iters = 0
         while True:
             t_obtain = sim.now
-            if run.faults_active and run.orphans:
+            if claims_on and run.orphans:
                 # a dead rank's reclaimed range: adopt it (claim before
                 # the bookkeeping access so a crash mid-adoption cannot
                 # lose it a second time), then pay one window read
@@ -759,10 +777,7 @@ class MpiMpiModel(ExecutionModel):
             else:
                 step, start, size = yield from queue.next_chunk(ctx, pe=ctx.rank)
             if size <= 0:
-                if (
-                    not run.faults_active
-                    or run.executed_iterations >= run.workload.n
-                ):
+                if not claims_on or run.executed_iterations >= run.workload.n:
                     break
                 # orphans may still arrive while dead ranks await
                 # detection: poll instead of exiting
@@ -770,16 +785,19 @@ class MpiMpiModel(ExecutionModel):
                 continue
             if trace is not None and sim.now > t_obtain:
                 trace.add(ctx.name(), t_obtain, sim.now, trace_mod.OBTAIN)
-            queue.calc.record_wait(ctx.rank, sim.now - t_obtain)
+            if listens:
+                calc.record_wait(ctx.rank, sim.now - t_obtain)
             run.record_chunk(step, start, size, pe=ctx.rank)
             duration = run.exec_time(start, size, ctx.node, ctx.core)
             t0 = sim.now
             yield ComputeOnce(duration)  # jittered: unique per chunk, skip interning
             if trace is not None:
                 trace.add(ctx.name(), t0, sim.now, trace_mod.COMPUTE)
-            queue.calc.record(ctx.rank, size, compute_time=duration)
+            if listens:
+                calc.record(ctx.rank, size, compute_time=duration)
             run.record_subchunk(step, start, size, pe=ctx.rank)
-            run.release_claim(ctx.rank, step, start, size)
+            if claims_on:
+                run.release_claim(ctx.rank, step, start, size)
             n_chunks += 1
             n_iters += size
         finish_times[ctx.rank] = sim.now

@@ -298,7 +298,10 @@ class MpiOpenMpModel(ExecutionModel):
                     )
                     t0 = sim.now
                     yield from execute(child, sub_start, sub_size)
-                    round_.calc.record(pos, sub_size, compute_time=sim.now - t0)
+                    if round_.calc.listens:
+                        round_.calc.record(
+                            pos, sub_size, compute_time=sim.now - t0
+                        )
                 # the worksharing loop's own implicit barrier
                 yield Overhead(group.barrier_cost)
                 yield from group.barrier.wait()
@@ -346,7 +349,8 @@ class MpiOpenMpModel(ExecutionModel):
                     yield from execute(root, start, size)
                     # runtime feedback for adaptive inter-node techniques:
                     # the node processed `size` iterations in (now - t0)
-                    inter_calc.record(node, size, compute_time=sim.now - t0)
+                    if inter_calc.listens:
+                        inter_calc.record(node, size, compute_time=sim.now - t0)
             finish_times[node] = sim.now
             for group in inner:
                 group.gate.trigger(None)

@@ -110,6 +110,7 @@ class CellExecutor:
         self.dedup_hits = 0  # requests attached to an in-flight future
         self.cache_hits = 0  # requests served from the on-disk cache
         self.errors = 0  # pool simulations that raised
+        self.cache_put_errors = 0  # results that streamed but were not cached
 
     # ------------------------------------------------------------------
     def resolve(self, job: CellJob) -> Tuple[Future, str]:
@@ -163,16 +164,21 @@ class CellExecutor:
         released and a later request will retry.
         """
         error = raw.exception()
+        put_failed = False
         if error is None and self.cache is not None:
             try:
                 self.cache.put(key, raw.result())
             except OSError:
-                pass  # cache directory vanished / disk full — results still stream
+                # cache directory vanished / disk full: the result still
+                # streams, and /metrics counts the missed publish
+                put_failed = True
         with self._lock:
             self._inflight.pop(key, None)
             self.completed += 1
             if error is not None:
                 self.errors += 1
+            if put_failed:
+                self.cache_put_errors += 1
         if error is not None:
             published.set_exception(error)
         else:
@@ -194,6 +200,7 @@ class CellExecutor:
                 "dedup_hits": self.dedup_hits,
                 "cache_hits": self.cache_hits,
                 "errors": self.errors,
+                "cache_put_errors": self.cache_put_errors,
                 "uptime_s": time.monotonic() - self._started,
             }
         snapshot["cells_per_s"] = (

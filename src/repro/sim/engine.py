@@ -30,6 +30,11 @@ interpreted, its entry remains the heap root.  Every resume scheduled
 *during* interpretation lies strictly later in ``(time, seq)`` order
 (delays are positive, sequence numbers grow), so the root stays the
 minimum until it is replaced or popped on every exit path.
+
+Conventions: ``Simulator.now`` and every :class:`Delay` duration are
+simulated seconds.  The engine knows no MPI rank or node index:
+processes are identified by name (the MPI layer spawns one per rank,
+named ``rank<r>``) and ties in time are broken by scheduling sequence.
 """
 
 from __future__ import annotations
@@ -267,6 +272,7 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def tracing(self) -> bool:
+        """Whether a trace callback receives :meth:`emit` records."""
         return self.trace is not None
 
     def emit(self, process_name: str, label: str, payload: Any = None) -> None:
@@ -644,6 +650,7 @@ class Simulator:
 
     @property
     def halted_reason(self) -> Optional[str]:
+        """Why a :class:`Halt` stopped the run, or None if none did."""
         return self._halted
 
     # ------------------------------------------------------------------

@@ -4,6 +4,10 @@ Simulated processes are generators.  Everything a process can *do* is
 expressed by yielding one of the :class:`Command` subclasses defined
 here; the :class:`~repro.sim.engine.Simulator` interprets the command
 and resumes the generator when it completes.
+
+Conventions: every duration is simulated seconds.  Commands carry no
+MPI rank or node index; the process that yields one is the one it acts
+on.
 """
 
 from __future__ import annotations
@@ -162,6 +166,7 @@ class SimEvent(Command):
         return self
 
     def add_waiter(self, process: Any) -> None:
+        """Park ``process`` until :meth:`trigger` (called by the engine)."""
         self._waiters.append(process)
 
     def trigger(self, value: Any = None) -> None:

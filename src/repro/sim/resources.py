@@ -34,11 +34,15 @@ class Lock:
             lock.release()
     """
 
-    __slots__ = ("sim", "name", "_locked", "_waiters", "owner", "n_acquisitions")
+    __slots__ = (
+        "sim", "name", "_gate_name", "_locked", "_waiters", "owner",
+        "n_acquisitions",
+    )
 
     def __init__(self, sim: Simulator, name: str = "lock"):
         self.sim = sim
         self.name = name
+        self._gate_name = f"{name}.gate"
         self._locked = False
         self._waiters: Deque[SimEvent] = deque()
         self.owner: Optional[str] = None
@@ -65,7 +69,7 @@ class Lock:
             self.owner = owner
             self.n_acquisitions += 1
             return
-        gate = self.sim.event(f"{self.name}.gate")
+        gate = self.sim.event(self._gate_name)
         self._waiters.append(gate)
         yield gate
         # Ownership was transferred to us by release().
@@ -86,10 +90,11 @@ class Lock:
             # claim ownership, so its gate is skipped — otherwise the
             # lock would be stranded "held by nobody" forever.
             gate = self._waiters.popleft()
-            if any(p.alive for p in gate._waiters):
-                self.owner = None
-                gate.trigger()
-                return
+            for process in gate._waiters:
+                if process.alive:
+                    self.owner = None
+                    gate.trigger()
+                    return
         self._locked = False
         self.owner = None
 

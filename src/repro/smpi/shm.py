@@ -282,7 +282,8 @@ class SharedWindow:
         Returns the priced delay; the caller yields it, then calls
         :meth:`release`.
         """
-        self._require_held(ctx)
+        if self._lock.owner != ctx.owner:
+            self._require_held(ctx)
         prices = self._prices_of(ctx.rank)
         self.total_penalty_s += prices[4]
         return prices[1]
@@ -373,7 +374,8 @@ class SharedWindow:
         touches through this method (and hold the lock).  Returns the
         priced delay for the caller to yield.
         """
-        self._require_held(ctx)
+        if self._lock.owner != ctx.owner:
+            self._require_held(ctx)
         prices = self._prices_of(ctx.rank)
         self.total_penalty_s += n * prices[3]
         return Overhead(n * prices[2])

@@ -318,7 +318,7 @@ class OmpTeam:
         phase.executed_per_thread[tid] = (
             phase.executed_per_thread.get(tid, 0) + size
         )
-        if phase.calc is not None:
+        if phase.calc is not None and phase.calc.listens:
             phase.calc.record(tid, size, compute_time=duration)
         if self.trace is not None:
             self.trace.add(

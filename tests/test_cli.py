@@ -120,5 +120,7 @@ def test_parser_requires_command():
 
 
 def test_unknown_figure_id_errors(capsys):
-    with pytest.raises(KeyError):
-        main(["figure", "--id", "fig99x", "--scale", "tiny"])
+    code, out = run_cli(capsys, "figure", "--id", "fig99x", "--scale", "tiny")
+    assert code == 2
+    assert "unknown figure 'fig99x'" in out
+    assert "fig4a" in out

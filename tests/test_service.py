@@ -236,6 +236,30 @@ def test_metrics_and_healthz(server):
     assert metrics["in_flight"] == 0
 
 
+def test_failed_cache_put_still_streams_and_is_counted(server, monkeypatch):
+    """A full cache disk loses the publish, not the result: the cell
+    streams, ``/metrics`` counts the failed put and no temp file stays."""
+    import errno
+
+    from repro.experiments import parallel
+
+    def no_space(src, dst):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(parallel.os, "replace", no_space)
+    payload = {**TINY_SWEEP, "intras": ["STATIC"]}
+    lines = post_sweep(server, payload)
+    trailer = lines[-1]
+    assert trailer["done"] and trailer["cells"] == 1 and trailer["errors"] == 0
+    assert "cell" in lines[0]
+    metrics = get_json(server, "/metrics")
+    assert metrics["cache_put_errors"] == 1
+    assert metrics["completed"] == metrics["simulated"] == 1
+    cache_dir = server.executor.cache.root
+    assert not [name for name in os.listdir(cache_dir) if name.endswith(".tmp")]
+    assert not [name for name in os.listdir(cache_dir) if name.endswith(".json")]
+
+
 def test_bad_sweep_requests_get_400(server):
     host, port = server.server_address[:2]
 

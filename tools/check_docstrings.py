@@ -45,6 +45,8 @@ CHECKED_MODULES = [
     "src/repro/cluster/topology.py",
     "src/repro/api.py",
     "src/repro/core/chunking.py",
+    "src/repro/core/hierarchy.py",
+    "src/repro/core/technique_base.py",
     "src/repro/experiments/ablations.py",
     "src/repro/experiments/figures.py",
     "src/repro/experiments/harness.py",
@@ -60,6 +62,8 @@ CHECKED_MODULES = [
     "src/repro/native/runner.py",
     "src/repro/service/spec.py",
     "src/repro/sim/cohorts.py",
+    "src/repro/sim/engine.py",
+    "src/repro/sim/primitives.py",
     "src/repro/sim/resources.py",
     "src/repro/smpi/rma.py",
     "src/repro/smpi/shm.py",
