@@ -10,6 +10,7 @@ rank -> (node, socket, numa, core) mapping is
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -230,6 +231,7 @@ def homogeneous(
     )
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def minihpc(
     n_nodes: int = 16,
     cores_per_node: int = 16,
@@ -250,6 +252,10 @@ def minihpc(
     sub-NUMA clustering (the 4th machine tier, for depth-4 ``W+X+Y+Z``
     stacks).  The defaults of 1 keep the paper's flat node model (and
     the seed's exact behaviour) for two-level runs.
+
+    Memoised: equal arguments return the same (frozen) spec, so repeat
+    sweeps over one figure build no node specs and key their cells
+    without touching them.
     """
     if not 1 <= n_nodes <= 16:
         raise ValueError("miniHPC has at most 16 identical Xeon nodes")

@@ -29,7 +29,7 @@ from repro.cluster.faults import FaultModel
 from repro.cluster.machine import ClusterSpec, heterogeneous, minihpc
 from repro.core.hierarchy import split_stack
 from repro.core.techniques import INTEL_OPENMP_SUPPORTED, PAPER_TECHNIQUES
-from repro.experiments.harness import Cell, GridRunner, series
+from repro.experiments.harness import Cell, GridRunner, series_index
 from repro.experiments.workloads import figure_workload, scale_from_env
 from repro.models.base import ExecutionModel
 
@@ -234,10 +234,18 @@ class FigureResult:
     spec: FigureSpec
     cells: List[Cell]
     checks: List[ShapeCheck] = field(default_factory=list)
+    #: (cells list, its series index), built on the first series() call
+    #: and rebuilt when ``cells`` is replaced (the list is not edited)
+    _index: Optional[Tuple[List[Cell], Dict]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def series(self, approach: str, intra: str) -> Dict[int, float]:
         """One plotted line: node count -> parallel time in seconds."""
-        return series(self.cells, approach, intra)
+        index = self._index
+        if index is None or index[0] is not self.cells:
+            index = self._index = (self.cells, series_index(self.cells))
+        return dict(index[1].get((approach, intra), {}))
 
     # ------------------------------------------------------------------
     def run_checks(self) -> List[ShapeCheck]:

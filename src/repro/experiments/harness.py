@@ -16,7 +16,8 @@ node index or rank identifies a cell.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.api import run_hierarchical
@@ -63,8 +64,13 @@ class Cell:
         return f"{self.inter}+{self.intra}"
 
     def to_dict(self) -> Dict[str, object]:
-        """Stable JSON-ready form (the cache / report interchange layer)."""
-        return asdict(self)
+        """Stable JSON-ready form (the cache / report interchange layer).
+
+        The fields in declaration order.  Every field is an immutable
+        scalar, so a shallow copy equals ``dataclasses.asdict`` without
+        its deep copy.
+        """
+        return dict(self.__dict__)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "Cell":
@@ -193,25 +199,6 @@ class GridRunner:
         if self.cluster_factory is None:
             self.cluster_factory = lambda n: minihpc(n, self.ppn)
 
-    def run_cell(self, approach: str, inter: str, intra: str, nodes: int) -> Cell:
-        """Simulate one (approach, inter, intra, nodes) cell inline."""
-        cell = simulate_cell(
-            self.workload,
-            self.cluster_factory(nodes),
-            approach,
-            inter,
-            intra,
-            nodes,
-            self.ppn,
-            self.seed,
-            costs=self.costs,
-            placement=self.placement,
-            faults=self.faults,
-            engine=self.engine,
-        )
-        self._report(cell)
-        return cell
-
     def _report(self, cell: Cell, cached: bool = False) -> None:
         if self.progress is not None:
             suffix = "cached" if cached else f"{cell.wall_seconds:.1f}s wall"
@@ -300,10 +287,21 @@ class GridRunner:
         return cells
 
 
+def series_index(cells: Iterable[Cell]) -> Dict[Tuple[str, str], Dict[int, float]]:
+    """Every plotted line at once: ``(approach, intra) -> {nodes: time}``.
+
+    Each line is ordered by node count; of two cells at one node count
+    the later one wins.
+    """
+    index: Dict[Tuple[str, str], Dict[int, float]] = {}
+    for c in sorted(cells, key=attrgetter("nodes")):
+        line = index.get((c.approach, c.intra))
+        if line is None:
+            line = index[c.approach, c.intra] = {}
+        line[c.nodes] = c.time
+    return index
+
+
 def series(cells: List[Cell], approach: str, intra: str) -> Dict[int, float]:
     """Extract one plotted line: nodes -> parallel time."""
-    return {
-        c.nodes: c.time
-        for c in sorted(cells, key=lambda c: c.nodes)
-        if c.approach == approach and c.intra == intra
-    }
+    return series_index(cells).get((approach, intra), {})

@@ -23,7 +23,9 @@ GridRunner` uses to exploit that:
   (``"dcc"``).
   A second sweep over the same inputs runs zero simulations; changing
   any input (a different seed, a rescaled workload) changes the digest
-  and misses cleanly.
+  and misses cleanly.  Within one process a repeat read of an unchanged
+  file decodes nothing: :meth:`CellCache.get` compares the file's bytes
+  with its last valid read of that path and returns the cell decoded then.
 
 Index convention: a cell is sized by its node *count* and ``ppn`` ranks
 per node; no node index enters a key, and the only ranks in one are the
@@ -97,8 +99,16 @@ def workload_fingerprint(workload: Workload) -> str:
     """Content hash of a workload: its name plus exact cost bytes.
 
     Any change to the iteration costs — different scale, different
-    kernel parameters, a rescaled copy — changes the fingerprint.
+    kernel parameters, a rescaled copy — changes the fingerprint.  A
+    :class:`Workload` remembers its fingerprint together with the
+    ``costs`` array and name it hashed, so a repeat call on the same
+    object costs two identity checks; replacing ``costs`` (the array is
+    never edited in place: the prefix table is built from it once)
+    recomputes it.
     """
+    memo = getattr(workload, "_fingerprint", None)
+    if memo is not None and memo[0] is workload.costs and memo[1] == workload.name:
+        return memo[2]
     digest = hashlib.sha256()
     digest.update(workload.name.encode("utf-8"))
     digest.update(str(workload.n).encode("ascii"))
@@ -107,7 +117,10 @@ def workload_fingerprint(workload: Workload) -> str:
     # describe different cost vectors and must not share a key.
     digest.update(workload.costs.dtype.str.encode("ascii"))
     digest.update(workload.costs.tobytes())
-    return digest.hexdigest()
+    fingerprint = digest.hexdigest()
+    if isinstance(workload, Workload):
+        workload._fingerprint = (workload.costs, workload.name, fingerprint)
+    return fingerprint
 
 
 def cluster_signature(cluster: ClusterSpec) -> List:
@@ -144,31 +157,76 @@ def model_signature() -> Dict[str, object]:
 _dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
-@functools.lru_cache(maxsize=64)
+# Guards the writers of the module's bounded memos; their readers only
+# ever call ``dict.get``, which is atomic, and take no lock.
+_MEMO_LOCK = threading.Lock()
+
+
+def _remember(memo: Dict, cap: int, key: object, value: object) -> None:
+    """Insert into a bounded memo, evicting the oldest entries (FIFO)."""
+    with _MEMO_LOCK:
+        while len(memo) >= cap:
+            memo.pop(next(iter(memo)), None)
+        memo[key] = value
+
+
+#: cluster signature JSON by ``id(cluster)``; each entry holds its
+#: cluster, so an id is never reused while its entry lives
+_CLUSTER_JSON: Dict[int, Tuple[ClusterSpec, str]] = {}
+_CLUSTER_JSON_CAP = 64
+
+
 def _cluster_json(cluster: ClusterSpec) -> str:
-    return _dumps(cluster_signature(cluster))
+    """The cluster's signature JSON, serialised once per cluster object.
+
+    Keyed by identity, not value: a value lookup hashes and compares
+    every :class:`NodeSpec`, which made the cluster the one part of a
+    repeat key that grew with the node count.  Equal clusters built
+    separately serialise to the same string, so keys are unchanged.
+    """
+    entry = _CLUSTER_JSON.get(id(cluster))
+    if entry is not None and entry[0] is cluster:
+        return entry[1]
+    text = _dumps(cluster_signature(cluster))
+    _remember(_CLUSTER_JSON, _CLUSTER_JSON_CAP, id(cluster), (cluster, text))
+    return text
+
+
+#: (DEFAULT_COSTS, MILD_NOISE, their "models" key field) last serialised
+_MODELS_JSON: Optional[Tuple[CostModel, object, str]] = None
+
+
+def _models_json() -> str:
+    """The ``"models":{...}`` key field of :func:`model_signature`,
+    serialised once per pair of default-model objects.  The objects are
+    frozen, so identity implies value; rebinding a default (retuning a
+    cost constant) is a new object and re-serialises."""
+    global _MODELS_JSON
+    memo = _MODELS_JSON
+    if memo is None or memo[0] is not DEFAULT_COSTS or memo[1] is not MILD_NOISE:
+        text = _dumps({"models": model_signature()})[1:-1]
+        memo = _MODELS_JSON = (DEFAULT_COSTS, MILD_NOISE, text)
+    return memo[2]
 
 
 @functools.lru_cache(maxsize=64, typed=True)
-def _sweep_json(workload_fp, ppn, seed, costs, placement, faults, models):
-    """The key fields that do not vary within a sweep, as the three runs
-    of ``"field":value`` pairs that sit between the per-cell fields in
-    sorted-key order.  Memoised by value (frozen dataclasses hash by
-    field); ``models`` is the ``(DEFAULT_COSTS, MILD_NOISE)`` pair that
-    :func:`model_signature` reads, so retuning a default misses here."""
-    def fields(**pairs: object) -> str:
-        return _dumps(pairs)[1:-1]
-
+def _sweep_json(workload_fp, ppn, seed, costs, placement, faults):
+    """The key fields that do not vary within a sweep, as the two runs
+    of ``"field":value`` pairs that sit around the per-cell fields in
+    sorted-key order (the default models' field is :func:`_models_json`).
+    Memoised by value (frozen dataclasses hash by field)."""
     costs_json = _dumps(None if costs is None else asdict(costs))
     faults_json = _dumps(None if faults is None else faults.signature())
+    placement_to_workload = _dumps(dict(
+        placement=placement, ppn=ppn, seed=seed,
+        version=CACHE_FORMAT_VERSION, workload=workload_fp,
+    ))[1:-1]
     return (
         # "dcc" is the retired v5 reroute flag, now always false (dCC
         # cells are keyed by approach="dcc"); it stays in the payload so
         # every key and cache entry written under v6 stays valid
         f'"costs":{costs_json},"dcc":false,"faults":{faults_json}',
-        fields(models=model_signature()),
-        fields(placement=placement, ppn=ppn, seed=seed,
-               version=CACHE_FORMAT_VERSION, workload=workload_fp),
+        placement_to_workload,
     )
 
 
@@ -200,16 +258,23 @@ def cell_key(
     per-cell fields are encoded per call (strings quoted as ``json``
     quotes them), the rest is spliced in.
     """
-    costs_to_faults, models, placement_to_workload = _sweep_json(
-        workload_fp, ppn, seed, costs, placement_signature(placement),
-        faults, (DEFAULT_COSTS, MILD_NOISE),
+    costs_to_faults, placement_to_workload = _sweep_json(
+        workload_fp, ppn, seed, costs, placement_signature(placement), faults,
     )
     payload = (
         f'{{"approach":{_quote(approach)},"cluster":{_cluster_json(cluster)},'
         f'{costs_to_faults},"inter":{_quote(inter)},"intra":{_quote(intra)},'
-        f'{models},"nodes":{nodes},{placement_to_workload}}}'
+        f'{_models_json()},"nodes":{nodes},{placement_to_workload}}}'
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+#: most cache files whose last valid read :meth:`CellCache.get` keeps
+#: (the eight paper figures are 256 cells; an entry is about 1 KB)
+READ_MEMO_CAP = 2048
+
+#: cache file path -> (its bytes at the last valid read, the decoded Cell)
+_READ_MEMO: Dict[str, Tuple[bytes, "Cell"]] = {}
 
 
 class CellCache:
@@ -221,7 +286,14 @@ class CellCache:
     ``quarantined``/``reaped`` statistics are guarded by a single lock
     so a threaded server can hammer one instance from many handlers
     without losing counts.  The read path itself stays lock-free — the
-    lock covers only the counter increments, never the file I/O.
+    lock covers only the counter increments, never the file I/O; a read
+    that decodes a file also takes the read memo's lock to record it.
+
+    A repeat read of an unchanged file in one process is one file read
+    and a bytes comparison (see :meth:`get`).  The memo does not trust
+    ``stat``: file times tick coarsely, so a same-size rewrite within
+    one tick would be served stale, while comparing the bytes keeps the
+    quarantine and version contracts by construction.
     """
 
     #: ``*.tmp`` files older than this (seconds) are leftovers of a
@@ -294,17 +366,37 @@ class CellCache:
 
     def get(self, key: str) -> Optional["Cell"]:
         """The cached cell for ``key``, or None on a miss; a corrupt or
-        stale-format file counts as a miss and is quarantined."""
+        stale-format file counts as a miss and is quarantined.
+
+        The file is read on every call.  When its bytes equal those of
+        the last valid read of the same path in this process (the
+        module's read memo, at most :data:`READ_MEMO_CAP` files), the
+        :class:`Cell` decoded then is returned: equal bytes decode to an
+        equal cell, and a cell is frozen, so it is safe to share.  Any
+        other bytes take the full decode and checks below.
+        """
         from repro.experiments.harness import Cell
 
+        path = self._path(key)
         try:
-            with open(self._path(key), "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
+            with open(path, "rb") as fh:
+                raw = fh.read()
         except FileNotFoundError:
             self._count("misses")
             return None
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-            # truncated write, disk hiccup, or hand-edited garbage
+        except OSError:
+            # disk hiccup, or the path is not a readable file
+            self._quarantine(key)
+            self._count("misses")
+            return None
+        memo = _READ_MEMO.get(path)
+        if memo is not None and memo[0] == raw:
+            self._count("hits")
+            return memo[1]
+        try:
+            payload = json.loads(raw.decode("utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            # truncated write or hand-edited garbage
             self._quarantine(key)
             self._count("misses")
             return None
@@ -322,6 +414,7 @@ class CellCache:
             self._quarantine(key)
             self._count("misses")
             return None
+        _remember(_READ_MEMO, READ_MEMO_CAP, path, (raw, return_value))
         self._count("hits")
         return return_value
 

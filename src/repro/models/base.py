@@ -167,13 +167,16 @@ class ExecutionModel:
             faults=faults,
             max_sim_time=max_sim_time,
         )
-        if engine_name == "cohort":
-            from repro.sim.cohorts import execute_cohort
+        try:
+            if engine_name == "cohort":
+                from repro.sim.cohorts import execute_cohort
 
-            execute_cohort(self, run)
-        else:
-            self._execute(run)
-        return run.finish(verify=verify)
+                execute_cohort(self, run)
+            else:
+                self._execute(run)
+            return run.finish(verify=verify)
+        finally:
+            run.sim.close()
 
     # subclasses implement: build rank mains, launch, record stats ------
     def _execute(self, run: "_Run") -> None:

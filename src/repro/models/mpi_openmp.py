@@ -356,6 +356,10 @@ class MpiOpenMpModel(ExecutionModel):
                 group.gate.trigger(None)
             for team in node_teams:
                 team.shutdown()
+            # the recursive closures reference themselves through their
+            # cells; emptying the cells frees the run without the cyclic
+            # collector
+            del build, execute, drive
 
         world.run(node_main)
 

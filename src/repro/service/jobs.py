@@ -24,6 +24,12 @@ Workers receive only JSON-sized payloads: the sweep spec names its
 workload (``app``/``scale``), and each worker process rebuilds it once
 via the per-process workload cache — the large cost vector never
 crosses the pipe.
+
+Unit and index conventions: ``uptime_s`` is host seconds and
+``cells_per_s`` completed cells per host second; a cell's ``time`` is
+simulated seconds.  A job is sized by its node *count* and ``ppn``
+ranks per node; no node index or rank identifies a job, only its
+``cell_key``.
 """
 
 from __future__ import annotations

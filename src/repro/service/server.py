@@ -19,6 +19,11 @@ Endpoints::
 Run with ``repro-serve``, ``python -m repro.service`` or ``repro
 serve``; see ``docs/SERVICE.md`` for the request schema and a worked
 curl example.
+
+Unit and index conventions: ``uptime_s`` in ``GET /metrics`` is host
+seconds and a streamed cell's ``time`` simulated seconds.  A line's
+``index`` is its position in the requested grid, not a rank or a node
+index; cells are sized by node count and ranks per node (``ppn``).
 """
 
 from __future__ import annotations
@@ -90,6 +95,7 @@ class SweepHandler(BaseHTTPRequestHandler):
     server: SweepServer  # narrowed for type checkers
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
+        """Log one request line to stderr, unless the server is quiet."""
         if not self.server.quiet:
             super().log_message(format, *args)
 
@@ -103,6 +109,7 @@ class SweepHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def do_GET(self) -> None:  # noqa: N802 — http.server API
+        """Serve ``/healthz`` and ``/metrics``; 404 for any other path."""
         self.server.count("n_requests")
         if self.path == "/healthz":
             self._send_json(200, {"status": "ok"})
@@ -112,6 +119,7 @@ class SweepHandler(BaseHTTPRequestHandler):
             self._send_json(404, {"error": f"no such endpoint {self.path!r}"})
 
     def do_POST(self) -> None:  # noqa: N802 — http.server API
+        """Serve ``/sweep`` and ``/shutdown``; 404 for any other path."""
         self.server.count("n_requests")
         if self.path == "/shutdown":
             self._send_json(200, {"status": "shutting down"})

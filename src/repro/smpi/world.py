@@ -71,6 +71,18 @@ class MpiWorld:
             RankCtx(self, rank) for rank in range(self.size)
         ]
         self._shared_windows: Dict[Any, SharedWindow] = {}
+        sim.on_close(self.close)
+
+    def close(self) -> None:
+        """Drop the per-rank state once the run is over.
+
+        Each :class:`RankCtx` points back at its world, so the contexts
+        would otherwise keep the world (and the world them) alive until
+        the cyclic collector runs.  Called by :meth:`Simulator.close`.
+        """
+        self.contexts = []
+        self._mailboxes = []
+        self._shared_windows = {}
 
     # ------------------------------------------------------------------
     def launch(self, main: MainFn, name_prefix: str = "rank") -> List[Process]:

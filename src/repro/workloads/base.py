@@ -7,7 +7,7 @@ indexed by loop position ``0 .. n-1``, never by MPI rank; a block
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,10 +58,15 @@ class Workload:
         self.executor = executor
         self._prefix = np.concatenate(([0.0], np.cumsum(costs)))
         self._prefix_list: Optional[List[float]] = None
+        #: (costs, name, digest) memo of
+        #: :func:`repro.experiments.parallel.workload_fingerprint`
+        self._fingerprint: Optional[Tuple[np.ndarray, str, str]] = None
 
     def __getstate__(self) -> Dict[str, Any]:
         state = dict(self.__dict__)
-        state["_prefix_list"] = None  # rebuilt on first use, per process
+        # rebuilt on first use, per process
+        state["_prefix_list"] = None
+        state["_fingerprint"] = None
         return state
 
     # ------------------------------------------------------------------

@@ -127,7 +127,7 @@ def test_grid_runner_progress_callback():
         workload=figure_mandelbrot("tiny"), ppn=4, node_counts=(2,),
         seed=0, progress=messages.append,
     )
-    runner.run_cell("mpi+mpi", "GSS", "GSS", 2)
+    runner.sweep("GSS", ["GSS"], [("mpi+mpi", lambda intra: True)])
     assert len(messages) == 1
     assert "GSS+GSS" in messages[0]
 

@@ -254,3 +254,57 @@ def test_no_noise_mpi_openmp_static_static_is_analytic():
     )
     ideal = wl.total_cost / 8
     assert result.parallel_time == pytest.approx(ideal, rel=1e-2)
+
+
+# ---------------------------------------------------------------------------
+# a finished run is freed by reference counting
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "approach,stack,kw",
+    [
+        ("mpi+mpi", "SS+GSS", {"noise": NO_NOISE, "engine": "cohort"}),
+        ("dcc", "GSS+SS", {"noise": NO_NOISE, "engine": "cohort"}),
+        ("mpi+mpi", "GSS+SS", {}),
+        ("mpi+mpi", "FAC2+SS", {"faults": "crash:5@0.0005,slow:2@0.0002:0.5"}),
+        ("mpi+openmp", "GSS+FAC2+SS", {}),
+        ("dcc", "GSS+SS", {}),
+        ("flat-mpi", "FAC2", {}),
+        ("master-worker", "GSS", {}),
+    ],
+)
+def test_finished_run_needs_no_cyclic_collector(monkeypatch, approach, stack, kw):
+    """With the cyclic collector off, the run's MPI world and simulator
+    die with the last reference to its result: their reference cycles
+    (ranks <-> world, processes <-> simulator) are broken when the run
+    ends, so a sweep of large runs never holds two runs' worth."""
+    import gc
+    import weakref
+
+    from repro.smpi.world import MpiWorld
+
+    made = []
+    init = MpiWorld.__init__
+
+    def recording_init(self, sim, *args, **kwargs):
+        init(self, sim, *args, **kwargs)
+        made.append((weakref.ref(self), weakref.ref(sim)))
+
+    monkeypatch.setattr(MpiWorld, "__init__", recording_init)
+    cluster = homogeneous(2, 4, sockets_per_node=2)
+    workload = uniform_workload(800, low=1e-5, high=1e-4, seed=1)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        result = run_hierarchical(
+            workload, cluster, stack, approach=approach, ppn=4, seed=0, **kw
+        )
+        assert made and result.parallel_time > 0
+        del result
+        alive = [name for world, sim in made
+                 for name, ref in (("world", world), ("simulator", sim))
+                 if ref() is not None]
+    finally:
+        if enabled:
+            gc.enable()
+    assert alive == []

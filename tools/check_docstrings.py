@@ -60,6 +60,8 @@ CHECKED_MODULES = [
     "src/repro/models/mpi_mpi.py",
     "src/repro/models/mpi_openmp.py",
     "src/repro/native/runner.py",
+    "src/repro/service/jobs.py",
+    "src/repro/service/server.py",
     "src/repro/service/spec.py",
     "src/repro/sim/cohorts.py",
     "src/repro/sim/engine.py",
