@@ -11,6 +11,7 @@ too: it must follow a replaced cost array.
 """
 
 import json
+import os
 import pickle
 import threading
 from dataclasses import replace
@@ -205,3 +206,36 @@ def test_cell_to_dict_matches_asdict():
     assert cell.to_dict() == asdict(cell)
     assert list(cell.to_dict()) == list(asdict(cell))
     assert Cell.from_dict(cell.to_dict()) == cell
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_directory_at_key_path_is_quarantined_without_leaking_an_fd(tmp_path):
+    cache = CellCache(str(tmp_path))
+    key = "d" * 64
+    (tmp_path / f"{key}.json").mkdir()
+    before = open_fds()
+    assert cache.get(key) is None
+    assert open_fds() == before, "a failed read leaked its file descriptor"
+    assert cache.stats()["misses"] == 1
+    assert cache.stats()["quarantined"] == 1
+    assert not (tmp_path / f"{key}.json").exists()
+    assert (tmp_path / f"{key}.json.corrupt").is_dir()
+
+
+def test_file_padded_past_256_kib_is_read_to_the_end(tmp_path):
+    """Whitespace on both sides of the payload puts its closing brace
+    past 256 KiB, so a read that stops short of EOF cannot decode it."""
+    cache = CellCache(str(tmp_path))
+    key = "e" * 64
+    cache.put(key, make_cell(2))
+    path = tmp_path / f"{key}.json"
+    pad = b" " * (300 * 1024)
+    path.write_bytes(pad + path.read_bytes() + pad)
+    assert path.stat().st_size > 2 * 256 * 1024
+    assert cache.get(key) == make_cell(2)
+    assert cache.get(key) == make_cell(2)
+    assert cache.stats() == {"hits": 2, "misses": 0, "quarantined": 0, "reaped": 0}
