@@ -5,6 +5,12 @@ The paper reports the *parallel execution time of the main loop*
 standard DLS quality metrics used throughout the cited literature:
 coefficient of variation of PE finish times, max/mean load imbalance,
 idle fraction, and the scheduling-overhead share.
+
+Conventions: every time is simulated seconds from the loop start, and
+every fraction is a share of the parallel time.  A worker is one
+processing element, named by its rank; ``WorkerStats.node`` is the
+node index it ran on, and ``LoadMetrics.workers`` lists workers in rank
+order.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ class LoadMetrics:
     workers: tuple = field(default_factory=tuple, repr=False)
 
     def summary(self) -> str:
+        """One line of the headline metrics (times in seconds)."""
         return (
             f"T_par={self.parallel_time:.4g}s  cov={self.cov_finish:.3f}  "
             f"imb={self.imbalance:.3f}  idle={self.idle_fraction:.1%}  "

@@ -4,6 +4,11 @@ Collects per-worker activity intervals during a simulated run and can
 render them as a text Gantt chart — which is how we regenerate the
 paper's Figures 2 and 3 (the implicit-synchronisation illustration for
 MPI+OpenMP vs the barrier-free MPI+MPI execution).
+
+Conventions: interval ends and marks are simulated seconds from the
+loop start.  A worker is named by its rank (``RankCtx.name()``, or a
+thread name for OpenMP team members); the chart lists workers in the
+order they first appear.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ _GLYPH = {COMPUTE: "#", OBTAIN: "o", SYNC: "=", IDLE: ".", None: " "}
 
 @dataclass(frozen=True)
 class Interval:
+    """One worker in one activity ``kind`` from ``start`` to ``end``
+    (seconds)."""
+
     worker: str
     start: float
     end: float
@@ -35,6 +43,7 @@ class Interval:
 
     @property
     def duration(self) -> float:
+        """Length of the interval in seconds."""
         return self.end - self.start
 
 
@@ -52,6 +61,8 @@ class Trace:
         self.marks: List[Tuple[float, str]] = []
 
     def add(self, worker: str, start: float, end: float, kind: str, label: str = "") -> None:
+        """Log ``worker`` in ``kind`` over ``[start, end)`` seconds;
+        an empty interval is dropped."""
         if end > start:
             self.intervals.append(Interval(worker, start, end, kind, label))
 
@@ -61,12 +72,15 @@ class Trace:
 
     # ------------------------------------------------------------------
     def workers(self) -> List[str]:
+        """Worker names in order of first appearance."""
         seen: Dict[str, None] = {}
         for iv in self.intervals:
             seen.setdefault(iv.worker, None)
         return list(seen)
 
     def span(self) -> Tuple[float, float]:
+        """``(first start, last end)`` over all intervals, in seconds;
+        ``(0, 0)`` for an empty trace."""
         if not self.intervals:
             return (0.0, 0.0)
         return (

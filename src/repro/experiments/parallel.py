@@ -276,6 +276,30 @@ READ_MEMO_CAP = 2048
 #: cache file path -> (its bytes at the last valid read, the decoded Cell)
 _READ_MEMO: Dict[str, Tuple[bytes, "Cell"]] = {}
 
+#: absolute cache root -> ``time.monotonic()`` of its last temp-file reap
+#: in this process
+_LAST_REAP: Dict[str, float] = {}
+
+#: bytes asked of each ``os.read`` by :meth:`CellCache.get`: a cache
+#: file is about 450 bytes, so one read returns it whole.  ``os.read``
+#: allocates the whole request first; 64 KiB raised the sweep server's
+#: peak RSS by 1.3 MB
+_READ_BLOCK = 4 * 1024
+
+
+def _read_file(path: str) -> bytes:
+    """The whole file at ``path``: one raw descriptor, read to EOF."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        raw = os.read(fd, _READ_BLOCK)
+        while True:
+            more = os.read(fd, _READ_BLOCK)
+            if not more:
+                return raw
+            raw += more
+    finally:
+        os.close(fd)
+
 
 class CellCache:
     """Directory of ``<key>.json`` files holding serialized Cells.
@@ -289,11 +313,19 @@ class CellCache:
     lock covers only the counter increments, never the file I/O; a read
     that decodes a file also takes the read memo's lock to record it.
 
-    A repeat read of an unchanged file in one process is one file read
-    and a bytes comparison (see :meth:`get`).  The memo does not trust
-    ``stat``: file times tick coarsely, so a same-size rewrite within
-    one tick would be served stale, while comparing the bytes keeps the
-    quarantine and version contracts by construction.
+    A repeat read of an unchanged file in one process is one raw file
+    read and a bytes comparison (see :meth:`get`).  The memo does not
+    trust ``stat``: file times tick coarsely, so a same-size rewrite
+    within one tick would be served stale, while comparing the bytes
+    keeps the quarantine and version contracts by construction.
+
+    Construction reaps ``*.tmp`` files older than ``reap_age_s``
+    seconds, left by writers that died mid-:meth:`put`.  A process
+    lists each root for this at most once per ``reap_age_s``: a later
+    instance on the same root within that window lists nothing and
+    reaps nothing (its ``reaped`` stays 0).  An orphan is still reaped,
+    at most ``reap_age_s`` later than a listing at every construction
+    would reap it.
     """
 
     #: ``*.tmp`` files older than this (seconds) are leftovers of a
@@ -308,6 +340,7 @@ class CellCache:
                 f"cell cache path {root!r} exists and is not a directory"
             )
         os.makedirs(root, exist_ok=True)
+        self._prefix = os.path.join(root, "")
         self.hits = 0
         self.misses = 0
         #: corrupt or stale-format files moved aside (never re-read)
@@ -323,8 +356,15 @@ class CellCache:
         A process killed between ``mkstemp`` and ``os.replace`` leaves
         its ``*.tmp`` behind forever.  Age-gating the reap means a slow
         writer racing this init keeps its in-flight file: anything
-        younger than ``reap_age_s`` is presumed live.
+        younger than ``reap_age_s`` is presumed live.  A root this
+        process listed less than ``reap_age_s`` seconds ago is not
+        listed again; a file too young then waits for the next listing.
         """
+        root = os.path.abspath(self.root)
+        now = time.monotonic()
+        last = _LAST_REAP.get(root)
+        if last is not None and now - last < reap_age_s:
+            return
         cutoff = time.time() - reap_age_s
         for name in os.listdir(self.root):
             if not name.endswith(".tmp"):
@@ -336,6 +376,7 @@ class CellCache:
                     self.reaped += 1
             except OSError:
                 pass  # vanished under us (racing reaper) — fine
+        _LAST_REAP[root] = now
 
     def _count(self, stat: str) -> None:
         with self._stats_lock:
@@ -352,7 +393,7 @@ class CellCache:
             }
 
     def _path(self, key: str) -> str:
-        return os.path.join(self.root, f"{key}.json")
+        return self._prefix + key + ".json"
 
     def _quarantine(self, key: str) -> None:
         """Move a bad cache file aside so it is diagnosable but can
@@ -368,19 +409,19 @@ class CellCache:
         """The cached cell for ``key``, or None on a miss; a corrupt or
         stale-format file counts as a miss and is quarantined.
 
-        The file is read on every call.  When its bytes equal those of
-        the last valid read of the same path in this process (the
-        module's read memo, at most :data:`READ_MEMO_CAP` files), the
-        :class:`Cell` decoded then is returned: equal bytes decode to an
-        equal cell, and a cell is frozen, so it is safe to share.  Any
-        other bytes take the full decode and checks below.
+        The file is read on every call, through one raw descriptor
+        (``os.open``, ``os.read`` to EOF, ``os.close``).  When its bytes
+        equal those of the last valid read of the same path in this
+        process (the module's read memo, at most :data:`READ_MEMO_CAP`
+        files), the :class:`Cell` decoded then is returned: equal bytes
+        decode to an equal cell, and a cell is frozen, so it is safe to
+        share.  Any other bytes take the full decode and checks below.
         """
         from repro.experiments.harness import Cell
 
         path = self._path(key)
         try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
+            raw = _read_file(path)
         except FileNotFoundError:
             self._count("misses")
             return None

@@ -4,6 +4,9 @@ The paper has one table: Table 1, the mapping between DLS techniques
 and OpenMP ``schedule`` clauses.  We regenerate it from the technique
 registry (plus the LaPeSD-libGOMP extension rows the paper's Section 2
 discusses) so the mapping is *derived from code*, not hand-written.
+
+Conventions: the table is text only; it holds no times (a time
+anywhere else in the package is seconds) and no rank or node index.
 """
 
 from __future__ import annotations

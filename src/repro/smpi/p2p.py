@@ -6,6 +6,10 @@ spawns a tiny delivery process that makes the message visible after
 that delay.  Receivers block until a message matching ``(source, tag)``
 (or ``ANY_SOURCE``) is present.  Matching follows MPI semantics:
 per-(source, tag) FIFO ordering (non-overtaking).
+
+Conventions: transfer delays are simulated seconds; sources and owners
+are ranks of the world (``ANY_SOURCE`` matches every rank); sizes are
+bytes.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ ANY_SOURCE = -1
 
 @dataclass
 class Message:
+    """A payload in flight from rank ``source``, matched on ``tag``;
+    ``nbytes`` sizes its modelled transfer."""
+
     source: int
     tag: int
     payload: Any

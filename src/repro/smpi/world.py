@@ -5,6 +5,11 @@
 of rank processes.  Rank main functions are generators taking a
 :class:`RankCtx`; all MPI operations are generator methods used with
 ``yield from`` so their simulated costs accrue to the calling rank.
+
+Conventions: every time and cost is simulated seconds.  Ranks are
+``0 .. size - 1`` in placement order; ``RankCtx.node`` is a node index
+into the cluster, and ``local_rank``/``socket_rank``/``numa_rank`` count
+from 0 within the rank's node, socket and NUMA domain.
 """
 
 from __future__ import annotations
@@ -168,10 +173,12 @@ class RankCtx:
     # -- introspection ---------------------------------------------------
     @property
     def size(self) -> int:
+        """Number of ranks in the world."""
         return self.world.size
 
     @property
     def sim(self) -> Simulator:
+        """The world's simulator (its clock is in seconds)."""
         return self.world.sim
 
     @property
@@ -181,13 +188,16 @@ class RankCtx:
 
     @property
     def is_node_leader(self) -> bool:
+        """Whether this is the lowest rank on its node."""
         return self.rank == self.node_ranks[0]
 
     @property
     def core_speed(self) -> float:
+        """Relative speed of this rank's node's cores (1.0 = reference)."""
         return self.world.cluster.node_of(self.node).core_speed
 
     def name(self) -> str:
+        """Trace name: rank, node index and core, e.g. ``rank5(n1.c1)``."""
         return f"rank{self.rank}(n{self.node}.c{self.core})"
 
     # -- two-sided -------------------------------------------------------

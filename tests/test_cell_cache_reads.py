@@ -7,13 +7,17 @@ decodes nothing, any byte difference (a re-``put``, an in-place
 corruption, a stale version) takes the full decode with its quarantine
 and counters, the memo stays bounded, and the hit/miss counts are those
 of a cache without it.  The workload fingerprint memo is checked here
-too: it must follow a replaced cost array.
+too: it must follow a replaced cost array.  So are the rest of the warm
+path's costs: the file is read to its end through one descriptor that
+is always closed, and a root is listed for stale temp files at most
+once per reap age in a process.
 """
 
 import json
 import os
 import pickle
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -239,3 +243,43 @@ def test_file_padded_past_256_kib_is_read_to_the_end(tmp_path):
     assert cache.get(key) == make_cell(2)
     assert cache.get(key) == make_cell(2)
     assert cache.stats() == {"hits": 2, "misses": 0, "quarantined": 0, "reaped": 0}
+
+
+def test_a_root_is_listed_once_per_reap_age(tmp_path, monkeypatch):
+    """A root is listed for its stale ``*.tmp`` files at the first
+    construction in a process, and again only once ``reap_age_s`` has
+    passed since."""
+    listed = []
+    listdir = os.listdir
+
+    def counting_listdir(path="."):
+        listed.append(os.path.abspath(path))
+        return listdir(path)
+
+    monkeypatch.setattr(parallel.os, "listdir", counting_listdir)
+    clock = [1000.0]
+    monkeypatch.setattr(parallel.time, "monotonic", lambda: clock[0])
+    root = tmp_path / "cache"
+    root.mkdir()
+    stale = root / "tmpdead02.tmp"
+    stale.write_text("{half a payl")
+    old = time.time() - 7200
+    os.utime(stale, (old, old))
+
+    first = CellCache(str(root))
+    assert first.stats()["reaped"] == 1
+    assert not stale.exists()
+    second = CellCache(str(root))
+    assert second.stats()["reaped"] == 0
+    assert listed == [str(root)]
+
+    other = tmp_path / "other"
+    CellCache(str(other))
+    assert listed == [str(root), str(other)]
+
+    clock[0] += CellCache.REAP_AGE_S - 1
+    CellCache(str(root))
+    assert listed.count(str(root)) == 1
+    clock[0] += 1
+    CellCache(str(root))
+    assert listed.count(str(root)) == 2

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
 """Docstring-check the ``repro.cluster`` machine-model modules and the
-engine, MPI-window, execution-model, OpenMP, cell-cache and workload
-modules listed in ``CHECKED_MODULES``.
+engine, MPI world/point-to-point/window, execution-model, OpenMP,
+metrics, trace, cell-cache, table and workload modules listed in
+``CHECKED_MODULES``.
 
 The cluster layer is the package's public vocabulary for hardware,
 costs and placement, so its API documentation must not rot.  This
@@ -46,12 +47,15 @@ CHECKED_MODULES = [
     "src/repro/api.py",
     "src/repro/core/chunking.py",
     "src/repro/core/hierarchy.py",
+    "src/repro/core/metrics.py",
     "src/repro/core/technique_base.py",
+    "src/repro/core/trace.py",
     "src/repro/experiments/ablations.py",
     "src/repro/experiments/figures.py",
     "src/repro/experiments/harness.py",
     "src/repro/experiments/intext.py",
     "src/repro/experiments/parallel.py",
+    "src/repro/experiments/tables.py",
     "src/repro/experiments/workloads.py",
     "src/repro/models/base.py",
     "src/repro/models/dcc.py",
@@ -67,8 +71,10 @@ CHECKED_MODULES = [
     "src/repro/sim/engine.py",
     "src/repro/sim/primitives.py",
     "src/repro/sim/resources.py",
+    "src/repro/smpi/p2p.py",
     "src/repro/smpi/rma.py",
     "src/repro/smpi/shm.py",
+    "src/repro/smpi/world.py",
     "src/repro/somp/schedule.py",
     "src/repro/somp/team.py",
     "src/repro/workloads/__init__.py",
