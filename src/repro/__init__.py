@@ -32,6 +32,10 @@ Quick start::
 
 See README.md for the full tour and docs/ARCHITECTURE.md for the
 architecture.
+
+Conventions: times are simulated seconds unless a name says wall or
+host; ranks are global MPI ranks, numbered node-major
+(``rank = node index * ppn + core``).
 """
 
 from repro.api import run_hierarchical, run_model

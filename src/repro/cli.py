@@ -46,6 +46,10 @@ Examples::
               # (POST /sweep), dedupe concurrent duplicates against the
               # shared cell cache, stream per-cell results as NDJSON
               # (see docs/SERVICE.md)
+
+Printed times are simulated seconds unless marked wall; ``--nodes``
+is a node count, ``--ppn`` ranks per node, and ``--faults`` names
+global ranks.
 """
 
 from __future__ import annotations
@@ -243,6 +247,7 @@ def _add_scale_seed(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` parser, one subcommand per example above."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -377,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """``repro`` entry point: run one subcommand, return its exit status."""
     args = build_parser().parse_args(argv)
     return args.fn(args)
 

@@ -178,24 +178,3 @@ def block_placement(cluster: ClusterSpec, ppn: int) -> Placement:
         )
     return Placement(cluster=cluster, slots=tuple(slots))
 
-
-def round_robin_placement(cluster: ClusterSpec, n_ranks: int) -> Placement:
-    """Cyclic placement across nodes (ablation only)."""
-    counters = [0] * cluster.n_nodes
-    slots: List[Tuple[int, int, int, int]] = []
-    node = 0
-    for _ in range(n_ranks):
-        attempts = 0
-        while counters[node] >= cluster.nodes[node].cores:
-            node = (node + 1) % cluster.n_nodes
-            attempts += 1
-            if attempts > cluster.n_nodes:
-                raise ValueError("not enough cores for requested ranks")
-        core = counters[node]
-        spec = cluster.nodes[node]
-        slots.append(
-            (node, spec.socket_of_core(core), spec.numa_of_core(core), core)
-        )
-        counters[node] += 1
-        node = (node + 1) % cluster.n_nodes
-    return Placement(cluster=cluster, slots=tuple(slots))

@@ -19,6 +19,10 @@ This package holds the paper's primary contribution in reusable form:
   overhead metrics.
 * :mod:`repro.core.trace` — execution traces and ASCII Gantt charts
   (regenerates the paper's Figures 2 and 3).
+
+Conventions: times are seconds; a calculator's PEs are numbered
+``0 .. p-1`` within their scheduling level (a node index at the
+inter-node level, a node-local rank below it).
 """
 
 from repro.core.chunking import (

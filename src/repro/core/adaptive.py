@@ -45,6 +45,10 @@ pins this).  Chunk sizes come from remaining-based closed forms of the
 candidate rules — the ``TSS`` rule re-anchors its trapezoid on the
 remainder at mode entry — so coverage/positivity hold by the same
 argument as for the fixed techniques.
+
+Conventions: fetch waits and iteration times are simulated seconds;
+``pe`` arguments number the PEs of one scheduling tier, not global
+ranks.
 """
 
 from __future__ import annotations
@@ -381,6 +385,7 @@ class Adapt(Technique):
         return cls(candidates=tuple(rules), **knobs)
 
     def make(self, n, p, **kwargs) -> ChunkCalculator:
+        """A selector over this ladder, starting at its first rung."""
         return _AdaptiveCalculator(
             self.name,
             n,

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -308,7 +308,18 @@ class Technique:
     #: scheduling round, no queue traffic) — cf. the paper's remark that
     #: STATIC at the inter-node level means a single scheduling round.
     pinned_per_pe: bool = False
+    #: one-line summary for Table 1 and ``repro techniques``: a
+    #: subclass's docstring, whitespace collapsed, unless it sets one
     description: str = ""
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "description" not in cls.__dict__ and cls.__doc__:
+            cls.description = " ".join(cls.__doc__.split())
+
+    #: what :meth:`make` builds, as ``calculator(name, n, p)``, for a
+    #: technique without parameters; the others override :meth:`make`
+    calculator: Optional[Callable[[str, int, int], ChunkCalculator]] = None
 
     def make(
         self,
@@ -321,7 +332,9 @@ class Technique:
         chunk_overhead: Optional[float] = None,
     ) -> ChunkCalculator:
         """Create a calculator for a loop of ``n`` iterations on ``p`` PEs."""
-        raise NotImplementedError
+        if self.calculator is None:
+            raise NotImplementedError
+        return self.calculator(self.name, n, p)
 
     # -- shared validation helpers --------------------------------------
     def _require_profile(self, profile: Optional[IterationProfile]) -> IterationProfile:

@@ -49,6 +49,10 @@ Formulas follow the original publications:
   walks a configurable fineness ladder (default SS -> FAC2 -> GSS;
   ``ADAPT[ss,fac2,tss]`` spells a custom one) from observed
   chunk-fetch wait and iteration-time CoV.
+
+Conventions: ``N`` iterations on ``P`` PEs, numbered ``0 .. P-1`` within
+their scheduling level (a node index at the inter-node level, a
+node-local rank below it); ``h``, ``mu`` and ``sigma`` are seconds.
 """
 
 from __future__ import annotations
@@ -488,30 +492,36 @@ class _RndCalculator(ChunkCalculator):
 
 
 class Static(Technique):
+    """One chunk of ceil(N/P) per PE; lowest scheduling overhead."""
+
     name = "STATIC"
     openmp_clause = "schedule(static)"
     pinned_per_pe = True
-    description = "One chunk of ceil(N/P) per PE; lowest scheduling overhead."
 
     def make(self, n, p, **kwargs) -> ChunkCalculator:
+        """PE ``k`` owns the ``k``-th chunk of ceil(N/P)."""
         return _FixedSizeCalculator(self.name, n, p, ceil_div(max(n, 1), p))
 
 
 class SelfScheduling(Technique):
+    """Pure self-scheduling: chunk = 1; maximal balance, maximal overhead."""
+
     name = "SS"
     openmp_clause = "schedule(dynamic,1)"
-    description = "Pure self-scheduling: chunk = 1; maximal balance, maximal overhead."
 
     def make(self, n, p, **kwargs) -> ChunkCalculator:
+        """Chunks of one iteration."""
         return _FixedSizeCalculator(self.name, n, p, 1)
 
 
 class Fsc(Technique):
+    """Kruskal-Weiss fixed-size chunking from (mu, sigma, h)."""
+
     name = "FSC"
     needs_profile = True
-    description = "Kruskal-Weiss fixed-size chunking from (mu, sigma, h)."
 
     def make(self, n, p, *, profile=None, chunk_overhead=None, **kwargs):
+        """The fixed chunk of the module docstring's FSC formula."""
         prof = self._require_profile(profile)
         h = chunk_overhead if chunk_overhead is not None else prof.h
         if p < 2 or prof.sigma == 0.0 or n == 0:
@@ -530,13 +540,13 @@ class Fsc(Technique):
 
 
 class MFsc(Technique):
+    """Profiling-free FSC: fixed chunk matching FAC2's chunk count
+    (P chunks per halving batch)."""
+
     name = "mFSC"
-    description = (
-        "Profiling-free FSC: fixed chunk matching FAC2's chunk count "
-        "(P chunks per halving batch)."
-    )
 
     def make(self, n, p, **kwargs):
+        """Fixed chunks of ceil(N / (P * ceil(log2(N/P))))."""
         if n <= p:
             size = 1
         else:
@@ -546,114 +556,114 @@ class MFsc(Technique):
 
 
 class Gss(Technique):
+    """Guided self-scheduling: C_i = ceil(R_i/P)."""
+
     name = "GSS"
     openmp_clause = "schedule(guided,1)"
-    description = "Guided self-scheduling: C_i = ceil(R_i/P)."
-
-    def make(self, n, p, **kwargs):
-        return _GssCalculator(self.name, n, p)
+    calculator = _GssCalculator
 
 
 class Tap(Technique):
+    """Lucco's tapering: GSS shrunk by a variance safety margin
+    estimated at runtime (an a-priori profile seeds the estimate)."""
+
     name = "TAP"
     adaptive = True
-    description = (
-        "Lucco's tapering: GSS shrunk by a variance safety margin "
-        "estimated at runtime (an a-priori profile seeds the estimate)."
-    )
 
     def make(self, n, p, *, profile=None, **kwargs):
+        """A tapering calculator; ``profile`` is its prior, if given."""
         return _TapCalculator(self.name, n, p, profile=profile)
 
 
 class Tss(Technique):
+    """Trapezoid self-scheduling: linear chunk decrement."""
+
     name = "TSS"
     openmp_extension_clause = "schedule(runtime) [LaPeSD-libGOMP tss]"
-    description = "Trapezoid self-scheduling: linear chunk decrement."
-
-    def make(self, n, p, **kwargs):
-        return _TssCalculator(self.name, n, p)
+    calculator = _TssCalculator
 
 
 class Tfss(Technique):
-    name = "TFSS"
-    description = "Trapezoid factoring: batches of P equal chunks, TSS means."
+    """Trapezoid factoring: batches of P equal chunks, TSS means."""
 
-    def make(self, n, p, **kwargs):
-        return _TfssCalculator(self.name, n, p)
+    name = "TFSS"
+    calculator = _TfssCalculator
 
 
 class Fac(Technique):
+    """Probabilistic factoring (Hummel et al.) from (mu, sigma)."""
+
     name = "FAC"
     needs_profile = True
-    description = "Probabilistic factoring (Hummel et al.) from (mu, sigma)."
 
     def make(self, n, p, *, profile=None, **kwargs):
+        """A FAC recurrence from the required ``profile``."""
         return _FacCalculator(self.name, n, p, self._require_profile(profile))
 
 
 class Fac2(Technique):
+    """Practical factoring: each batch schedules half the remainder."""
+
     name = "FAC2"
     openmp_extension_clause = "schedule(runtime) [LaPeSD-libGOMP fac2]"
-    description = "Practical factoring: each batch schedules half the remainder."
-
-    def make(self, n, p, **kwargs):
-        return _Fac2Calculator(self.name, n, p)
+    calculator = _Fac2Calculator
 
 
 class Fiss(Technique):
+    """Fixed-increase self-scheduling: B stages of P chunks, sizes
+    growing from N/((2+B)P) by a fixed increment."""
+
     name = "FISS"
-    description = (
-        "Fixed-increase self-scheduling: B stages of P chunks, sizes "
-        "growing from N/((2+B)P) by a fixed increment."
-    )
 
     def __init__(self, stages: Optional[int] = None):
         self.stages = stages
 
     def make(self, n, p, *, stages=None, **kwargs):
+        """A FISS sequence of ``stages`` stages (default: the instance's)."""
         return _FissCalculator(
             self.name, n, p, stages if stages is not None else self.stages
         )
 
 
 class Viss(Technique):
+    """Variable-increase self-scheduling: FISS whose stage increment
+    halves every stage (C_j = C_{j-1} + C_0/2^j)."""
+
     name = "VISS"
-    description = (
-        "Variable-increase self-scheduling: FISS whose stage increment "
-        "halves every stage (C_j = C_{j-1} + C_0/2^j)."
-    )
 
     def __init__(self, stages: Optional[int] = None):
         self.stages = stages
 
     def make(self, n, p, *, stages=None, **kwargs):
+        """A VISS sequence of ``stages`` stages (default: the instance's)."""
         return _VissCalculator(
             self.name, n, p, stages if stages is not None else self.stages
         )
 
 
 class Wf(Technique):
+    """Weighted factoring: FAC2 chunks scaled by fixed PE weights."""
+
     name = "WF"
     openmp_extension_clause = "schedule(runtime) [LaPeSD-libGOMP wf]"
     pe_dependent = True
     needs_weights = True
-    description = "Weighted factoring: FAC2 chunks scaled by fixed PE weights."
 
     def make(self, n, p, *, weights=None, **kwargs):
+        """A weighted calculator (equal weights when none are given)."""
         return _WeightedCalculator(self.name, n, p, self._require_weights(weights, p))
 
 
 class Awf(Technique):
+    """Adaptive weighted factoring: WF whose weights are refreshed
+    between outer time steps (use calculator.weights assignment or
+    record() feedback via AWF-B/C/D/E for intra-loop adaptation)."""
+
     name = "AWF"
     pe_dependent = True
-    description = (
-        "Adaptive weighted factoring: WF whose weights are refreshed "
-        "between outer time steps (use calculator.weights assignment or "
-        "record() feedback via AWF-B/C/D/E for intra-loop adaptation)."
-    )
 
     def make(self, n, p, *, weights=None, **kwargs):
+        """A weighted calculator whose weights the caller refreshes."""
         return _WeightedCalculator(self.name, n, p, self._require_weights(weights, p))
 
 
@@ -683,27 +693,26 @@ AwfE = _make_awf_variant("E")
 
 
 class Af(Technique):
+    """Adaptive factoring: FAC with per-PE (mu, sigma) estimated online."""
+
     name = "AF"
     pe_dependent = True
     adaptive = True
-    description = "Adaptive factoring: FAC with per-PE (mu, sigma) estimated online."
-
-    def make(self, n, p, **kwargs):
-        return _AfCalculator(self.name, n, p)
+    calculator = _AfCalculator
 
 
 class Rnd(Technique):
+    """Random chunk in [N/(100P), N/(2P)]; the sequence is a pure
+    function of (N, P, seed), so RND is deterministic given the spec."""
+
     name = "RND"
     openmp_extension_clause = "schedule(runtime) [LaPeSD-libGOMP random]"
-    description = (
-        "Random chunk in [N/(100P), N/(2P)]; the sequence is a pure "
-        "function of (N, P, seed), so RND is deterministic given the spec."
-    )
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
 
     def make(self, n, p, *, seed=None, rng=None, **kwargs):
+        """An RND sequence drawn from ``seed`` (default: the instance's)."""
         # ``rng`` is accepted (execution models pass their per-stream
         # generator to every level) but deliberately unused: the
         # sequence must derive from the spec alone so every rank — and

@@ -12,6 +12,9 @@ the library covers that use-case end to end.
 each PE-group's effective rate (iterations per busy second), maintains
 cumulative time-step-weighted averages, and feeds the refreshed weights
 into the inter-node level for the next step.
+
+Index convention: weights are indexed by inter-level PE, the node
+index for hierarchical models and the rank for the flat ones.
 """
 
 from __future__ import annotations
@@ -174,6 +177,7 @@ class TimeSteppedLoop:
 
     # ------------------------------------------------------------------
     def summary(self) -> str:
+        """One line per executed time step: its time and the weights used."""
         lines = [
             f"time-stepped {self.inter}+{self.intra} on "
             f"{self.cluster.n_nodes} nodes x {self.ppn}:",

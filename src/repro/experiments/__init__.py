@@ -20,6 +20,10 @@ that :func:`repro.experiments.figures.run_variant` runs.
 All experiments run on the calibrated figure workloads from
 :mod:`repro.experiments.workloads` and print paper-style series plus
 qualitative *shape checks* that encode the paper's findings.
+
+Conventions: a cell's times are simulated seconds (``wall_seconds``
+host seconds); a cell is sized by its node count and ``ppn`` ranks per
+node, never by a node index.
 """
 
 from repro.experiments.figures import (

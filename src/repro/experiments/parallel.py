@@ -2,30 +2,28 @@
 
 The figure sweeps are embarrassingly parallel: every ``(approach, inter,
 intra, nodes)`` cell is an independent, deterministic simulation.  This
-module supplies the two layers the :class:`~repro.experiments.harness.
-GridRunner` uses to exploit that:
+module supplies the layers that :class:`~repro.experiments.harness.
+GridRunner` and the sweep service share:
 
-* :func:`run_cells` — a ``ProcessPoolExecutor`` fan-out over cell
-  specs.  The (potentially large) workload cost vector is shipped to
-  each worker exactly once via the pool initializer, stripped of its
-  unpicklable executor closure — the simulator only reads costs.
-  Because each cell is simulated with its own freshly seeded
-  :class:`~repro.sim.engine.Simulator`, parallel results are identical
-  to a serial sweep, cell for cell (``wall_seconds``, which measures
-  the host machine, is the only field that may differ).
 * :class:`CellCache` — an on-disk JSON cache keyed by a SHA-256 digest
   of everything a cell's result depends on (:func:`cell_key`): the
-  workload fingerprint (name + cost bytes), the cluster spec, approach,
-  inter/intra techniques, node count, ppn, seed, the cost-model
-  override, the window placement, the fault-model signature, the
-  default cost/noise model signature and the format version.  The dCC
-  execution model is keyed like any other, by its approach name
-  (``"dcc"``).
-  A second sweep over the same inputs runs zero simulations; changing
-  any input (a different seed, a rescaled workload) changes the digest
-  and misses cleanly.  Within one process a repeat read of an unchanged
-  file decodes nothing: :meth:`CellCache.get` compares the file's bytes
-  with its last valid read of that path and returns the cell decoded then.
+  workload fingerprint (name + cost bytes), the cluster spec, approach
+  (``"dcc"`` included), inter/intra techniques, node count, ppn, seed,
+  the cost-model override, the window placement, the fault-model
+  signature, the default cost/noise model signature and the format
+  version.  A second sweep over the same inputs runs zero simulations;
+  changing any input misses cleanly.  Within one process a repeat read
+  of an unchanged file decodes nothing: :meth:`CellCache.get` compares
+  the file's bytes with its last valid read of that path.
+* :class:`CellExecutor` — the one process pool: built on the first
+  miss, replaced when a worker dies (the dead pool's unfinished cells
+  run once more), plus the service's in-flight registry.
+* :func:`run_cells` — a fan-out over that executor.  The workload cost
+  vector reaches each worker once, through the pool initializer (a
+  pickled workload drops its executor closure).  Every cell is
+  simulated with its own freshly seeded
+  :class:`~repro.sim.engine.Simulator`, so parallel results equal a
+  serial sweep cell for cell (``wall_seconds``, host time, excepted).
 
 Index convention: a cell is sized by its node *count* and ``ppn`` ranks
 per node; no node index enters a key, and the only ranks in one are the
@@ -46,7 +44,7 @@ import os
 import tempfile
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import Future, ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _quote
@@ -70,6 +68,7 @@ from repro.workloads.base import Workload
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.faults import FaultModel
     from repro.experiments.harness import Cell
+    from repro.service.jobs import CellJob
 
 #: (approach, inter, intra, nodes) — one grid cell to simulate
 CellSpec = Tuple[str, str, str, int]
@@ -479,20 +478,8 @@ class CellCache:
 
 
 # ---------------------------------------------------------------------------
-# process-pool fan-out
+# the cell executor: one process pool, one crash policy
 # ---------------------------------------------------------------------------
-def _strip_executor(workload: Workload) -> Workload:
-    """Pickle-safe copy: drop the executor closure (simulation-only)."""
-    if workload.executor is None:
-        return workload
-    return Workload(
-        name=workload.name,
-        costs=workload.costs,
-        meta=dict(workload.meta),
-        executor=None,
-    )
-
-
 # Per-worker context, installed once by the pool initializer so the cost
 # vector crosses the process boundary a single time per worker.
 _WORKER_CTX: Optional[Tuple] = None
@@ -522,6 +509,228 @@ def _run_cell_in_worker(task: Tuple[CellSpec, ClusterSpec]) -> "Cell":
     )
 
 
+class CellExecutor:
+    """A process pool that survives a dead worker, plus an in-flight
+    registry over a shared cache.
+
+    The pool of ``jobs`` workers, each set up by ``initializer(*initargs)``,
+    is built on the first :meth:`submit`.  When a worker dies, whether a
+    pool future or ``submit`` reports it, the broken pool is retired once
+    under the lock (``pool_restarts``) and every call it left unfinished
+    runs once more on a new pool; a call still unfinished when a second
+    pool breaks fails with ``BrokenProcessPool``.  An exception the
+    called function raises is deterministic for a simulation: returned
+    as is, never retried.  A retired pool is joined by a thread of its
+    own, never from its own callback thread.
+
+    :meth:`resolve` serves the sweep service's handler threads, which
+    share one instance: cache probe, then the in-flight registry
+    (concurrent requests for one cell share one simulation), then the
+    pool.  One lock guards the registry, the pools and the counters.
+    """
+
+    def __init__(self, cache: Optional[CellCache] = None, jobs: int = 2,
+                 initializer: Optional[Callable] = None, initargs: Tuple = ()):
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        self.cache = cache
+        self.max_workers = jobs
+        self._initializer = initializer
+        self._initargs = initargs
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._reapers: List[threading.Thread] = []  # joining broken pools
+        self._closed = False
+        self._lock = threading.Lock()
+        self._inflight: Dict[str, Future] = {}
+        self._started = time.monotonic()
+        # lifetime counters (under _lock)
+        self.simulated = 0  # cells submitted by resolve (not attempts)
+        self.completed = 0  # those simulations finished (ok or errored)
+        self.dedup_hits = 0  # requests attached to an in-flight future
+        self.cache_hits = 0  # requests served from the on-disk cache
+        self.errors = 0  # those simulations that failed
+        self.cache_put_errors = 0  # results that streamed but were not cached
+        self.pool_restarts = 0  # broken pools retired
+
+    # ------------------------------------------------------------------
+    def submit(self, fn: Callable, arg: object) -> Future:
+        """Run ``fn(arg)`` in a pool worker; the Future outlives one
+        pool crash.  ``fn`` must be picklable (module level)."""
+        future: Future = Future()
+        self._dispatch(fn, arg, future, 0)
+        return future
+
+    def _live_pool(self) -> ProcessPoolExecutor:
+        """The current pool, built if there is none (under ``_lock``)."""
+        if self._closed:
+            raise RuntimeError("cell executor is shut down")
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                self.max_workers, initializer=self._initializer,
+                initargs=self._initargs,
+            )
+        return self._pool
+
+    def _retire(self, pool: ProcessPoolExecutor) -> None:
+        """Retire ``pool`` if it is still the current one (under
+        ``_lock``): every call that saw it break asks, the first wins.
+        A thread of its own joins it and frees its pipes, since this may
+        run on the pool's own callback thread."""
+        if self._pool is pool:
+            self._pool = None
+            self.pool_restarts += 1
+            reaper = threading.Thread(target=pool.shutdown, daemon=True)
+            reaper.start()
+            self._reapers = [t for t in self._reapers if t.is_alive()] + [reaper]
+
+    def _dispatch(self, fn: Callable, arg: object, future: Future, breaks: int) -> None:
+        with self._lock:
+            pool = self._live_pool()
+            try:
+                raw = pool.submit(fn, arg)
+            except BrokenProcessPool:  # before its futures reported it
+                self._retire(pool)
+                pool = self._live_pool()  # a new pool has no dead worker yet
+                raw = pool.submit(fn, arg)
+        # outside the lock: the callback takes it, and runs right here
+        # if ``raw`` is already done
+        raw.add_done_callback(
+            functools.partial(self._settle, fn, arg, future, breaks, pool)
+        )
+
+    def _settle(self, fn, arg, future: Future, breaks: int, pool, raw: Future) -> None:
+        """Done-callback of a pool future: run the call again if this is
+        the first pool it saw break, else resolve the caller's Future."""
+        error = raw.exception()
+        if isinstance(error, BrokenProcessPool):
+            with self._lock:
+                self._retire(pool)
+            if breaks == 0:
+                try:
+                    self._dispatch(fn, arg, future, 1)
+                    return
+                except RuntimeError as closed:  # shut down since
+                    error = closed
+        if error is None:
+            future.set_result(raw.result())
+        else:
+            future.set_exception(error)
+
+    # ------------------------------------------------------------------
+    def resolve(self, job: "CellJob") -> Tuple[Future, str]:
+        """Resolve one cell of a sweep request to a Future plus its source.
+
+        Source is ``"cache"`` (already done, Future is pre-completed),
+        ``"inflight"`` (another request is simulating it right now —
+        attach) or ``"simulated"`` (this call submitted it).  The
+        cache probe happens under the registry lock so check-then-
+        register is atomic: two racing duplicates can never both
+        submit.  After :meth:`shutdown` a miss fails with RuntimeError.
+        """
+        with self._lock:
+            published = self._inflight.get(job.key)
+            if published is not None:
+                self.dedup_hits += 1
+                return published, "inflight"
+            if self.cache is not None:
+                cell = self.cache.get(job.key)
+                if cell is not None:
+                    self.cache_hits += 1
+                    done: Future = Future()
+                    done.set_result(cell)
+                    return done, "cache"
+            # The registry holds a *publish-gated* future, not the pool
+            # future: it resolves only after the cache put and the
+            # registry release, so anything waiting on it (a streaming
+            # handler, an attached duplicate) observes a fully
+            # published cell.  Pool waiters wake before done-callbacks
+            # run, so gating is what makes "trailer received ⇒ cells
+            # cached" true.
+            published = Future()
+            self._inflight[job.key] = published
+            self.simulated += 1
+        from repro.service.jobs import run_cell_job  # service imports this module
+
+        try:
+            outcome = self.submit(run_cell_job, job)
+        except RuntimeError as closed:  # shut down: fail it, release the key
+            outcome = Future()
+            outcome.set_exception(closed)
+        outcome.add_done_callback(
+            functools.partial(self._publish, job.key, published)
+        )
+        return published, "simulated"
+
+    def _publish(self, key: str, published: Future, outcome: Future) -> None:
+        """Publish to the cache, release the registry, resolve waiters.
+
+        Order matters: once the key leaves the registry a duplicate
+        request must find the cell on disk, so the ``put`` happens
+        first.  Failed simulations are never cached — the key is simply
+        released and a later request will retry.
+        """
+        error = outcome.exception()
+        put_failed = False
+        if error is None and self.cache is not None:
+            try:
+                self.cache.put(key, outcome.result())
+            except OSError:
+                # cache directory vanished / disk full: the result still
+                # streams, and /metrics counts the missed publish
+                put_failed = True
+        with self._lock:
+            self._inflight.pop(key, None)
+            self.completed += 1
+            if error is not None:
+                self.errors += 1
+            if put_failed:
+                self.cache_put_errors += 1
+        if error is not None:
+            published.set_exception(error)
+        else:
+            published.set_result(outcome.result())
+
+    # ------------------------------------------------------------------
+    def metrics(self) -> Dict[str, object]:
+        """Snapshot of executor + cache counters for ``GET /metrics``."""
+        with self._lock:
+            in_flight = len(self._inflight)
+            snapshot: Dict[str, object] = {
+                "in_flight": in_flight,
+                # cells submitted but not yet holding a worker slot
+                # (estimate: the pool does not expose its queue)
+                "queue_depth": max(0, in_flight - self.max_workers),
+                "max_workers": self.max_workers,
+                "simulated": self.simulated,
+                "completed": self.completed,
+                "dedup_hits": self.dedup_hits,
+                "cache_hits": self.cache_hits,
+                "errors": self.errors,
+                "cache_put_errors": self.cache_put_errors,
+                "pool_restarts": self.pool_restarts,
+                "uptime_s": time.monotonic() - self._started,
+            }
+        snapshot["cells_per_s"] = (
+            snapshot["completed"] / snapshot["uptime_s"]
+            if snapshot["uptime_s"] > 0
+            else 0.0
+        )
+        snapshot["cache"] = self.cache.stats() if self.cache is not None else None
+        return snapshot
+
+    def shutdown(self, wait: bool = True) -> None:
+        """Refuse new calls and stop every pool, broken ones included
+        (running calls finish first if ``wait``)."""
+        with self._lock:
+            self._closed = True
+            pool, self._pool = self._pool, None
+            reapers, self._reapers = self._reapers, []
+        if pool is not None:
+            pool.shutdown(wait=wait)
+        for reaper in reapers if wait else ():
+            reaper.join()
+
+
 def run_cells(
     workload: Workload,
     specs: Sequence[CellSpec],
@@ -534,85 +743,59 @@ def run_cells(
     placement: PlacementArg = "leader",
     faults: Optional["FaultModel"] = None,
     engine: str = "scalar",
-    retries: int = 2,
-    retry_backoff: float = 0.1,
 ) -> List["Cell"]:
     """Simulate ``specs`` (with matching ``clusters``) on ``jobs`` processes.
 
     Results come back in input order.  ``on_result(index, cell)`` fires
     as each cell completes (completion order under a pool) so callers
-    can stream progress.  ``jobs`` is capped at the number of cells;
-    ``jobs <= 1`` falls back to inline execution.  ``costs``/
-    ``placement``/``faults`` apply to every cell (see
-    :func:`repro.experiments.harness.simulate_cell`).
+    can stream progress.  ``jobs <= 1``, or at most one cell, runs
+    inline; otherwise a :class:`CellExecutor` of ``min(jobs, cells)``
+    workers runs them, with the workload shipped once per worker by the
+    pool initializer.  ``costs``/``placement``/``faults`` apply to
+    every cell (see :func:`repro.experiments.harness.simulate_cell`).
 
-    A crashed or OOM-killed pool worker does not abort the sweep: the
-    affected cells are re-run *inline* (in this process, where a
-    deterministic simulation error would reproduce and raise honestly),
-    up to ``retries`` rounds with exponential backoff starting at
-    ``retry_backoff`` seconds.  Only an error that also fails inline
-    propagates to the caller.
+    A dead worker does not abort the sweep: its cells run again on a
+    new pool (see :class:`CellExecutor`).  A cell that fails — its
+    simulation raised, or it outlived two broken pools — does not stop
+    the others either; once every cell has finished and the pool has
+    shut down, the first failure in input order is raised.
     """
     from repro.experiments.harness import simulate_cell
 
-    def run_inline(index: int) -> "Cell":
-        spec, cluster = specs[index], clusters[index]
-        cell = simulate_cell(
-            workload, cluster, *spec, ppn, seed,
-            costs=costs, placement=placement, faults=faults, engine=engine,
-        )
-        if on_result is not None:
-            on_result(index, cell)
-        return cell
-
     if jobs <= 1 or len(specs) <= 1:
-        return [run_inline(index) for index in range(len(specs))]
+        cells = []
+        for index, (spec, cluster) in enumerate(zip(specs, clusters)):
+            cell = simulate_cell(
+                workload, cluster, *spec, ppn, seed,
+                costs=costs, placement=placement, faults=faults, engine=engine,
+            )
+            if on_result is not None:
+                on_result(index, cell)
+            cells.append(cell)
+        return cells
 
-    shippable = _strip_executor(workload)
-    tasks = list(zip(specs, clusters))
-    results: List[Optional["Cell"]] = [None] * len(tasks)
-    pool_errors: List[BaseException] = []
+    executor = CellExecutor(
+        jobs=min(jobs, len(specs)),
+        initializer=_init_worker,
+        initargs=(workload, ppn, seed, costs, placement, faults, engine),
+    )
+    results: List[Optional["Cell"]] = [None] * len(specs)
+    errors: List[Optional[BaseException]] = [None] * len(specs)
     try:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(specs)),
-            initializer=_init_worker,
-            initargs=(shippable, ppn, seed, costs, placement, faults, engine),
-        ) as pool:
-            futures = {
-                pool.submit(_run_cell_in_worker, task): index
-                for index, task in enumerate(tasks)
-            }
-            for future in as_completed(futures):
-                index = futures[future]
-                try:
-                    results[index] = future.result()
-                except BrokenProcessPool as error:
-                    # the pool is dead; every unfinished future will
-                    # raise the same thing — stop draining and fall
-                    # through to the inline retry
-                    pool_errors.append(error)
-                    break
-                except BaseException as error:  # worker raised or died
-                    pool_errors.append(error)
-                    continue
+        futures = {
+            executor.submit(_run_cell_in_worker, task): index
+            for index, task in enumerate(zip(specs, clusters))
+        }
+        for future in as_completed(futures):
+            index = futures[future]
+            errors[index] = future.exception()
+            if errors[index] is None:
+                results[index] = future.result()
                 if on_result is not None:
                     on_result(index, results[index])
-    except BrokenProcessPool as error:  # raised from pool shutdown
-        pool_errors.append(error)
-
-    survivors = [i for i, cell in enumerate(results) if cell is None]
-    for attempt in range(retries):
-        if not survivors:
-            break
-        if pool_errors:
-            time.sleep(retry_backoff * (2 ** attempt))
-        still_missing = []
-        for index in survivors:
-            try:
-                results[index] = run_inline(index)
-            except Exception:
-                if attempt + 1 >= retries:
-                    raise
-                still_missing.append(index)
-        survivors = still_missing
+    finally:
+        executor.shutdown()
+    for error in errors:
+        if error is not None:
+            raise error
     return results

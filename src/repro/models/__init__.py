@@ -18,6 +18,8 @@
   (arXiv 2101.07050): the level stack is flattened ahead of time and
   every rank resolves its own chunk from one fetch-and-incremented
   counter — no coordinator, no queues, no locks on the hot path.
+
+All times are simulated seconds.
 """
 
 from repro.models.base import ExecutionModel, RunResult

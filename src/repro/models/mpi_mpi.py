@@ -91,11 +91,6 @@ class _QueuedChunk:
     def remaining(self) -> int:
         return self.size - self.taken
 
-    @property
-    def inter_step(self) -> int:
-        """Historical alias from the two-level implementation."""
-        return self.src_step
-
 
 class _LocalQueue:
     """Python-side view of one tier group's shared-memory work queue.

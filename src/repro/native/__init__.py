@@ -12,6 +12,9 @@ once, results identical to serial execution) and for demonstrating the
 API on a laptop.  It is *not* a performance vehicle: CPython's GIL
 serialises pure-Python sections (NumPy kernels release the GIL, so
 modest real speedups do occur).
+
+Conventions: times are host (wall-clock) seconds; worker thread ``w``
+stands in for rank ``w``.
 """
 
 from repro.native.runner import NativeResult, NativeRunner

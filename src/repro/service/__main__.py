@@ -1,4 +1,8 @@
-"""``python -m repro.service`` — the ``repro-serve`` entry point."""
+"""``python -m repro.service`` — the ``repro-serve`` entry point.
+
+Conventions as in :mod:`repro.service.server`: times in seconds, cells
+sized by node count and ranks per node.
+"""
 
 import sys
 

@@ -1,8 +1,9 @@
 """The HTTP front end: ``POST /sweep`` streaming NDJSON, ``GET /metrics``.
 
 Stdlib only (``http.server``): one ``ThreadingHTTPServer`` whose
-handler threads share a single :class:`~repro.service.jobs.CellExecutor`
-(bounded process pool + in-flight registry) and one on-disk
+handler threads share a single
+:class:`~repro.experiments.parallel.CellExecutor` (process pool +
+in-flight registry) and one on-disk
 :class:`~repro.experiments.parallel.CellCache`.  Responses to
 ``POST /sweep`` are newline-delimited JSON written as each cell lands
 (completion order, indices map lines back to the requested grid), with

@@ -19,7 +19,7 @@ is sized by its node count and ``ppn`` ranks per node; a fault spec's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, List, Mapping, Optional, Tuple
 
 from repro.cluster.costs import COST_PRESETS, CostModel
 from repro.cluster.machine import ClusterSpec, minihpc
@@ -230,18 +230,3 @@ class SweepSpec:
             )
             for approach, inter, intra, nodes in self.grid()
         ]
-
-    def to_json(self) -> Dict[str, Any]:
-        """Round-trippable JSON form (what a pool worker receives)."""
-        return {
-            "workload": {"app": self.app, "scale": self.scale},
-            "cluster": {"ppn": self.ppn, "sockets": self.sockets, "numa": self.numa},
-            "inter": self.inter,
-            "intras": list(self.intras),
-            "approaches": list(self.approaches),
-            "node_counts": list(self.node_counts),
-            "seed": self.seed,
-            "costs": self.costs,
-            "placement": self.placement,
-            "faults": self.faults,
-        }

@@ -18,6 +18,9 @@ Design notes
   sites twice.
 * **Composability.** Processes call helper coroutines with ``yield from``;
   commands bubble up to the engine transparently.
+
+Conventions: simulated time is in seconds; the engine knows processes,
+not ranks (:mod:`repro.smpi` maps each rank to one process).
 """
 
 from repro.sim.engine import ProcessFailure, Process, Simulator

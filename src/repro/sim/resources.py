@@ -222,7 +222,3 @@ class Store:
         self._getters.append(gate)
         item = yield gate
         return item
-
-    def peek_all(self) -> List[Any]:
-        """Snapshot of queued items (test helper; does not consume)."""
-        return list(self._items)

@@ -20,6 +20,8 @@ calibrated costs:
 
 Everything runs on :mod:`repro.sim`; per-rank code is written as
 generator "main" functions receiving a :class:`~repro.smpi.world.RankCtx`.
+
+All times and costs are simulated seconds.
 """
 
 from repro.smpi.rma import Window

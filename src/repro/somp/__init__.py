@@ -16,6 +16,9 @@ Models what the paper's MPI+OpenMP baseline needs from OpenMP:
 
 Costs (atomic chunk grabs, barriers, fork) come from
 :class:`repro.cluster.costs.OmpCosts`.
+
+Conventions: costs are simulated seconds; threads are numbered ``0 ..
+T-1`` within their team (thread 0 is the rank's own process).
 """
 
 from repro.somp.schedule import ScheduleSpec, UnsupportedScheduleError

@@ -29,7 +29,8 @@ class Workload:
     executor:
         Optional callable ``(start, size) -> Any`` that *really*
         performs the iterations (used by the native backend and the
-        examples; the simulator only needs ``costs``).
+        examples; the simulator only needs ``costs``, so a pickled
+        workload drops it).
 
     Block costs are O(1) via a prefix-sum table — execution models
     price every sub-chunk, so this matters.  Scalar reads go through a
@@ -67,6 +68,8 @@ class Workload:
         # rebuilt on first use, per process
         state["_prefix_list"] = None
         state["_fingerprint"] = None
+        # often a closure; a pool worker simulates, which needs only costs
+        state["executor"] = None
         return state
 
     # ------------------------------------------------------------------

@@ -5,6 +5,9 @@ per-iteration costs drawn from a named distribution — the standard way
 the DLS literature studies technique behaviour under controlled
 variability (constant/uniform/gaussian/exponential loads appear in the
 factoring and AWF papers).
+
+Conventions: costs are nominal seconds per iteration, indexed by loop
+position ``0 .. n-1``, never by rank.
 """
 
 from __future__ import annotations

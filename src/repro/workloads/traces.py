@@ -14,6 +14,9 @@ and to punish techniques whose chunk sizes commit early.  Every trace
 is a pure function of ``(kind, n, seed, base, peak)`` so regression
 tests can pin schedules against it, and it round-trips through
 :func:`save_trace` / :func:`load_trace` like any measured trace.
+
+Conventions: costs are nominal seconds per iteration, indexed by loop
+position ``0 .. n-1``, never by rank.
 """
 
 from __future__ import annotations

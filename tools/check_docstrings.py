@@ -1,13 +1,10 @@
 #!/usr/bin/env python
-"""Docstring-check the ``repro.cluster`` machine-model modules and the
-engine, MPI world/point-to-point/window, execution-model, OpenMP,
-metrics, trace, cell-cache, table and workload modules listed in
-``CHECKED_MODULES``.
+"""Docstring-check every module under ``src/``, except those listed in
+``EXCLUDED_MODULES`` (none today), so a new module is covered by default.
 
-The cluster layer is the package's public vocabulary for hardware,
-costs and placement, so its API documentation must not rot.  This
-checker parses the modules with ``ast`` (no imports needed) and
-enforces:
+The package's public vocabulary for hardware, costs, schedules and
+results must not rot.  This checker parses the modules with ``ast`` (no
+imports needed) and enforces:
 
 * every module has a docstring, and that docstring states the unit
   convention (mentions ``second``) and the index convention (mentions
@@ -34,54 +31,9 @@ from typing import List
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-#: modules under the docstring contract (repo-relative paths)
-CHECKED_MODULES = [
-    "src/repro/cluster/__init__.py",
-    "src/repro/cluster/costs.py",
-    "src/repro/cluster/faults.py",
-    "src/repro/cluster/interconnect.py",
-    "src/repro/cluster/machine.py",
-    "src/repro/cluster/noise.py",
-    "src/repro/cluster/placement_opt.py",
-    "src/repro/cluster/topology.py",
-    "src/repro/api.py",
-    "src/repro/core/chunking.py",
-    "src/repro/core/hierarchy.py",
-    "src/repro/core/metrics.py",
-    "src/repro/core/technique_base.py",
-    "src/repro/core/trace.py",
-    "src/repro/experiments/ablations.py",
-    "src/repro/experiments/figures.py",
-    "src/repro/experiments/harness.py",
-    "src/repro/experiments/intext.py",
-    "src/repro/experiments/parallel.py",
-    "src/repro/experiments/tables.py",
-    "src/repro/experiments/workloads.py",
-    "src/repro/models/base.py",
-    "src/repro/models/dcc.py",
-    "src/repro/models/flat_mpi.py",
-    "src/repro/models/master_worker.py",
-    "src/repro/models/mpi_mpi.py",
-    "src/repro/models/mpi_openmp.py",
-    "src/repro/native/runner.py",
-    "src/repro/service/jobs.py",
-    "src/repro/service/server.py",
-    "src/repro/service/spec.py",
-    "src/repro/sim/cohorts.py",
-    "src/repro/sim/engine.py",
-    "src/repro/sim/primitives.py",
-    "src/repro/sim/resources.py",
-    "src/repro/smpi/p2p.py",
-    "src/repro/smpi/rma.py",
-    "src/repro/smpi/shm.py",
-    "src/repro/smpi/world.py",
-    "src/repro/somp/schedule.py",
-    "src/repro/somp/team.py",
-    "src/repro/workloads/__init__.py",
-    "src/repro/workloads/base.py",
-    "src/repro/workloads/mandelbrot.py",
-    "src/repro/workloads/psia.py",
-]
+#: repo-relative paths of ``src`` modules exempt from the contract;
+#: every other module under ``src/`` is checked, a new one included
+EXCLUDED_MODULES: List[str] = []
 
 #: every checked module's docstring corpus must state these conventions
 UNIT_TOKEN = "second"
@@ -113,14 +65,21 @@ def _check_node(
             # nested defs inside functions are implementation detail
 
 
+def checked_modules() -> List[str]:
+    """Every ``.py`` file under ``src/`` not in :data:`EXCLUDED_MODULES`."""
+    paths = (path.relative_to(ROOT).as_posix() for path in (ROOT / "src").rglob("*.py"))
+    return sorted(rel for rel in paths if rel not in EXCLUDED_MODULES)
+
+
 def check() -> List[str]:
     """Return one diagnostic per violation across all checked modules."""
-    errors: List[str] = []
-    for rel in CHECKED_MODULES:
+    errors = [
+        f"{rel}: excluded module is missing"
+        for rel in EXCLUDED_MODULES
+        if not (ROOT / rel).exists()
+    ]
+    for rel in checked_modules():
         path = ROOT / rel
-        if not path.exists():
-            errors.append(f"{rel}: checked module is missing")
-            continue
         tree = ast.parse(path.read_text(), filename=str(path))
         module_doc = ast.get_docstring(tree)
         if module_doc is None:
@@ -147,7 +106,7 @@ def main() -> int:
     for error in errors:
         print(error)
     print(
-        f"checked {len(CHECKED_MODULES)} modules for docstring coverage: "
+        f"checked {len(checked_modules())} modules for docstring coverage: "
         f"{len(errors)} violation(s)"
     )
     return 1 if errors else 0
