@@ -23,37 +23,38 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.models.base import ExecutionModel, RunResult
     from repro.workloads.base import Workload
 
-#: canonical names for the implementation approaches
-APPROACHES = ("mpi+mpi", "mpi+openmp", "flat-mpi", "master-worker", "dcc")
+def __getattr__(name: str) -> Any:
+    """``APPROACHES``: the canonical approach names of
+    :data:`repro.models.MODELS`, read on first use so that importing
+    this module stays cheap."""
+    if name == "APPROACHES":
+        from repro.models import MODELS
+
+        return tuple(MODELS)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _spelling(name: str) -> str:
+    """Normalise an approach spelling: case, ``_``, ``-`` and spaces
+    do not count."""
+    return name.strip().lower().replace("_", "").replace("-", "").replace(" ", "")
 
 
 def _resolve_model(approach: Union[str, "ExecutionModel"]) -> "ExecutionModel":
+    """The model an ``approach`` names; an instance is used as given.
+
+    A name matches a registered model's canonical name in any
+    :func:`_spelling`, with or without its ``+``.
+    """
     if not isinstance(approach, str):
         return approach  # an ExecutionModel instance, used as given
-    from repro.models import (
-        DccModel,
-        FlatMpiModel,
-        MasterWorkerModel,
-        MpiMpiModel,
-        MpiOpenMpModel,
-    )
+    from repro.models import MODELS
 
-    key = (
-        approach.strip().lower()
-        .replace("_", "").replace("-", "").replace(" ", "")
-    )
-    table = {
-        "mpi+mpi": MpiMpiModel,
-        "mpimpi": MpiMpiModel,
-        "mpi+openmp": MpiOpenMpModel,
-        "mpiopenmp": MpiOpenMpModel,
-        "flatmpi": FlatMpiModel,
-        "masterworker": MasterWorkerModel,
-        "dcc": DccModel,
-    }
-    if key not in table:
-        raise ValueError(f"unknown approach {approach!r}; choose from {APPROACHES}")
-    return table[key]()
+    key = _spelling(approach)
+    for name, model in MODELS.items():
+        if key in (_spelling(name), _spelling(name).replace("+", "")):
+            return model()
+    raise ValueError(f"unknown approach {approach!r}; choose from {tuple(MODELS)}")
 
 
 def run_hierarchical(
@@ -111,7 +112,7 @@ def run_hierarchical(
         Override the :class:`repro.cluster.costs.CostModel` /
         :class:`repro.cluster.noise.NoiseModel`.
     placement:
-        Work-queue window homes (mpi+mpi only): ``"leader"`` (default —
+        Work-queue window homes (``mpi+mpi`` and ``dcc``): ``"leader"`` (default —
         global window on rank 0, each tier window first-touched by its
         group leader, bit-exact with the historical behaviour),
         ``"optimized"`` (homes solved by
@@ -124,7 +125,7 @@ def run_hierarchical(
         :meth:`~repro.cluster.faults.FaultModel.parse`).  ``None`` or an
         inactive model keeps every code path bit-identical to the
         fault-free engine.  Active faults require a failure-aware model
-        (``mpi+mpi``, ``flat-mpi`` or ``master-worker``).
+        (``mpi+mpi``, ``flat-mpi``, ``master-worker`` or ``dcc``).
     max_sim_time:
         Engine watchdog deadline in simulated seconds; a run that has
         not completed by then raises

@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "docs/PLACEMENT.md)")
     p.add_argument("--placement", default="leader",
                    choices=["leader", "optimized"],
-                   help="work-queue window homes (mpi+mpi): 'leader' pins "
+                   help="work-queue window homes (mpi+mpi, dcc): 'leader' pins "
                         "each window to its tier-group leader (the paper's "
                         "rule); 'optimized' solves for homes minimising "
                         "predicted priced traffic "
@@ -355,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "stall:R@T:D (rank R freezes for D seconds) "
                         "tokens, e.g. crash:5@0.002,slow:2@0.001:0.5; "
                         "requires a failure-aware approach (mpi+mpi, "
-                        "flat-mpi, master-worker)")
+                        "flat-mpi, master-worker, dcc)")
     p.add_argument("--max-sim-time", type=float, default=None,
                    metavar="SECONDS",
                    help="engine watchdog: abort with diagnostics if the "

@@ -101,14 +101,6 @@ class Interconnect:
             network_bandwidth=self.cluster.network_bandwidth,
         ) + self.costs.tier_load_penalty(tier)
 
-    def atomic_time(self, origin: int, target: int) -> float:
-        """One-sided remote atomic round trip between two ranks."""
-        tier = self.distance(origin, target)
-        return self.costs.rma_atomic_time(
-            same_node=tier is not Tier.NETWORK,
-            network_latency=self.cluster.network_latency,
-        ) + self.costs.tier_atomic_penalty(tier)
-
     def transfer_time(self, origin: int, target: int, nbytes: int) -> float:
         """One-sided get/put time between two ranks."""
         tier = self.distance(origin, target)

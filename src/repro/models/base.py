@@ -144,13 +144,13 @@ class ExecutionModel:
         ):
             raise ValueError(
                 f"{self.name} places windows at tier leaders only; "
-                f"placement={placement!r} requires the mpi+mpi model"
+                f"placement={placement!r} requires "
+                f"{_models_with('supports_placement')}"
             )
         if faults is not None and faults.active and not self.supports_faults:
             raise ValueError(
                 f"{self.name} has no failure-aware scheduling path; an "
-                f"active fault model requires the mpi+mpi, flat-mpi or "
-                f"master-worker model"
+                f"active fault model requires {_models_with('supports_faults')}"
             )
         run = _Run(
             model=self,
@@ -181,6 +181,16 @@ class ExecutionModel:
     # subclasses implement: build rank mains, launch, record stats ------
     def _execute(self, run: "_Run") -> None:
         raise NotImplementedError
+
+
+def _models_with(flag: str) -> str:
+    """The registered models whose class ``flag`` is set, as a phrase
+    (``"the mpi+mpi or dcc model"``)."""
+    from repro.models import MODELS
+
+    *rest, last = [name for name, model in MODELS.items() if getattr(model, flag)]
+    listed = f"{', '.join(rest)} or {last}" if rest else last
+    return f"the {listed} model"
 
 
 class _Run:
@@ -252,7 +262,7 @@ class _Run:
         #: a consistent ledger.
         self.claims: Dict[int, List[Tuple[int, int, int]]] = {}
         #: reclaimed ranges awaiting re-execution (flat protocols:
-        #: flat-mpi, depth-1 mpi+mpi, master-worker)
+        #: depth-1 mpi+mpi, flat-mpi, dcc, master-worker)
         self.orphans: List[Tuple[int, int, int]] = []
         #: ranks confirmed crash-stopped (filled by the injector)
         self.dead_ranks: set = set()

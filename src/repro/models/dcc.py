@@ -32,25 +32,23 @@ PE-dependent techniques (TAP, AWF-*, AF, WF, ADAPT and ``ADAPT[...]``
 ladders) need runtime feedback and therefore cannot be flattened;
 requesting them raises ``ValueError``.
 
-Fault tolerance reuses the failure-aware machinery: each fetched
-step's range is claimed inside the atomic's critical section
-(``on_commit``), a dead rank's claims are re-deposited as orphans, and
-the counter window fails over to the lowest live rank when its host
-dies.
+The counter protocol itself is :class:`~repro.models.mpi_mpi.MpiMpiModel`'s
+depth-1 path: the flattened sequence becomes the global queue's
+calculator (:class:`LeafSequence`), so the rank loop, the claims ledger
+under faults (each fetched step's range is claimed inside the atomic's
+critical section), the orphan pool and the counter window's failover
+to the lowest live rank are shared with ``mpi+mpi`` and ``flat-mpi``,
+in both engines.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.core import trace as trace_mod
-from repro.models.base import ExecutionModel, _Run, run_world
-from repro.sim.primitives import ComputeOnce, Overhead, Timeout
-from repro.smpi.world import MpiWorld, RankCtx
-
-#: scheduling depth ceiling, mirroring the mpi+mpi tier mapping
-#: cluster->node, node->socket, socket->numa, numa->core
-MAX_LEVELS = 4
+from repro.core.technique_base import ChunkCalculator
+from repro.models.base import _Run
+from repro.models.mpi_mpi import MpiMpiModel
+from repro.smpi.world import MpiWorld
 
 
 def _level_fanouts(run: _Run, world: MpiWorld) -> List[int]:
@@ -193,150 +191,51 @@ def _carve(
     return sizes
 
 
-class DccModel(ExecutionModel):
+class LeafSequence(ChunkCalculator):
+    """The flattened leaf sequence as a deterministic calculator.
+
+    Step ``s`` is leaf chunk ``s``: the sequence is handed over
+    materialised, so :meth:`GlobalQueue.resolve_step
+    <repro.models.base.GlobalQueue.resolve_step>` serves it with the
+    base class's list reads, and a step past the end reads as size 0.
+    """
+
+    def __init__(self, schedule: List[Tuple[int, int]], n: int, p: int):
+        super().__init__("dcc", n, p)
+        self._starts = [start for start, _ in schedule]
+        self._sizes = [size for _, size in schedule]
+
+    def total_steps(self) -> int:
+        """Number of leaf chunks."""
+        return len(self._sizes)
+
+
+class DccModel(MpiMpiModel):
     """Distributed chunk calculation over one global step counter."""
 
     name = "dcc"
-    supports_placement = True
-    supports_faults = True
 
     def inter_pe_count(self, cluster, ppn: int) -> int:
         """Every rank schedules against the counter directly."""
         return cluster.n_nodes * ppn
 
-    def _execute(self, run: _Run) -> None:
-        depth = run.spec.depth
-        if depth > MAX_LEVELS:
-            raise ValueError(
-                f"dcc maps scheduling levels onto machine tiers "
-                f"cluster->node->socket->numa->core and therefore supports "
-                f"at most {MAX_LEVELS} levels; got a depth-{depth} stack "
-                f"({run.spec.label})"
-            )
-        run.n_sched_levels = depth
-        world = MpiWorld(
-            run.sim,
-            run.cluster,
-            ppn=run.ppn,
-            costs=run.costs,
-            faults=run.faults if run.faults_active else None,
-        )
-        schedule = _flatten_schedule(run, world)
-        starts = [start for start, _ in schedule]
-        sizes = [size for _, size in schedule]
-        n_steps = len(schedule)
-        # Counter-window placement: the optimizer prices the window
-        # against a depth-1 view of the stack because *every* rank
-        # talks to the counter directly (there are no tier queues to
-        # absorb traffic).
-        host = 0
-        plan = None
-        if not (isinstance(run.placement, str) and run.placement == "leader"):
-            from repro.cluster.placement_opt import resolve_placement
-            from repro.core.hierarchy import HierarchicalSpec
+    def _tiers(self, run: _Run) -> int:
+        """Every rank talks to the counter directly: no tier queues, so
+        a placement plan prices the counter window against a depth-1
+        view of the stack."""
+        return 1
 
-            plan = resolve_placement(
-                run.placement,
-                HierarchicalSpec(levels=(run.spec.inter,)),
-                run.workload.n,
-                run.cluster,
-                run.ppn,
-                run.costs,
-            )
-            if plan is not None:
-                host = plan.global_host
-        window = world.create_window(host, {"step": 0})
-        calc_delay = Overhead(run.costs.chunk_calc)
-        claims_on = run.faults_active
-        finish_times = {}
-        chunk_counts = {}
-        iter_counts = {}
+    def _root_calculator(self, run: _Run, world: MpiWorld) -> ChunkCalculator:
+        """The stack flattened ahead of time into its leaf sequence."""
+        return LeafSequence(_flatten_schedule(run, world), run.workload.n, world.size)
 
-        def worker(ctx: RankCtx):
-            sim = run.sim
-            rank = ctx.rank
-            committed = None
-            if claims_on:
+    def _pinned(self, run: _Run) -> bool:
+        """A flattened STATIC root is a plain sequence, not pinned."""
+        return False
 
-                def committed(old: int) -> None:
-                    """Claim the fetched step's range inside the atomic."""
-                    if old < n_steps:
-                        run.claim(rank, old, starts[old], sizes[old])
-
-            n_chunks = 0
-            n_iters = 0
-            while True:
-                t_obtain = sim.now
-                if claims_on and run.orphans:
-                    # adopt a dead rank's reclaimed range (claim before
-                    # the bookkeeping read so it cannot be lost twice)
-                    step, start, size = run.orphans.pop(0)
-                    run.claim(rank, step, start, size)
-                    yield from window.get(ctx, "step")
-                else:
-                    # fetch-and-increment the counter, then resolve the
-                    # step locally
-                    step = yield from window.fetch_and_op(
-                        ctx, "step", 1, on_commit=committed
-                    )
-                    yield calc_delay
-                    if step >= n_steps:
-                        if (
-                            not claims_on
-                            or run.executed_iterations >= run.workload.n
-                        ):
-                            break
-                        # orphans may still arrive while dead ranks
-                        # await detection: poll instead of exiting
-                        yield Timeout(run.costs.mpi.shm_poll_interval)
-                        continue
-                    start, size = starts[step], sizes[step]
-                if run.trace is not None and sim.now > t_obtain:
-                    run.trace.add(
-                        ctx.name(), t_obtain, sim.now, trace_mod.OBTAIN
-                    )
-                run.record_chunk(step, start, size, pe=rank)
-                duration = run.exec_time(start, size, ctx.node, ctx.core)
-                t0 = sim.now
-                yield ComputeOnce(duration)  # jittered: unique per chunk
-                if run.trace is not None:
-                    run.trace.add(ctx.name(), t0, sim.now, trace_mod.COMPUTE)
-                run.record_subchunk(step, start, size, pe=rank)
-                if claims_on:
-                    run.release_claim(rank, step, start, size)
-                n_chunks += 1
-                n_iters += size
-            finish_times[rank] = sim.now
-            chunk_counts[rank] = n_chunks
-            iter_counts[rank] = n_iters
-
-        def recover(dead_rank: int):
-            """Re-host the counter if its host died; orphan the victim's
-            claimed ranges so survivors re-execute them."""
-            if window.host_rank == dead_rank:
-                live = [r for r in range(world.size) if world.rank_alive(r)]
-                if live:
-                    window.fail_over(live[0])
-                    run.fault_counters["failovers"] += 1
-            for step, start, size in run.claims.pop(dead_rank, ()):
-                if size > 0:
-                    run.orphans.append((step, start, size))
-                    run.fault_counters["chunks_reexecuted"] += 1
-            return
-            yield  # pragma: no cover - marks this function as a generator
-
-        processes = run_world(run, world, worker, recover=recover)
-        for process, ctx in zip(processes, world.contexts):
-            end = process.end_time if process.end_time is not None else run.sim.now
-            run.record_worker(
-                name=ctx.name(),
-                node=ctx.node,
-                finish_time=finish_times.get(ctx.rank, end),
-                process=process,
-                n_chunks=chunk_counts.get(ctx.rank, 0),
-                n_iterations=iter_counts.get(ctx.rank, 0),
-            )
-        collect_dcc_counters(run, window, n_steps, plan)
+    def _collect_counters(self, run: _Run, queue, local_queues, plan) -> None:
+        """The counter window's traffic (see :func:`collect_dcc_counters`)."""
+        collect_dcc_counters(run, queue.window, queue.calc.total_steps(), plan)
 
 
 def collect_dcc_counters(run: _Run, window, n_steps: int, plan=None) -> None:

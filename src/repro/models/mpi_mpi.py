@@ -62,7 +62,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core import trace as trace_mod
 from repro.core.technique_base import ChunkCalculator
 from repro.models.base import ExecutionModel, GlobalQueue, _Run, run_world
-from repro.sim.primitives import ComputeOnce, Timeout
+from repro.sim.primitives import ComputeOnce, Overhead, Timeout
 from repro.smpi.shm import SharedWindow
 from repro.smpi.world import MpiWorld, RankCtx
 
@@ -279,31 +279,82 @@ def collect_queue_counters(
 
 
 class MpiMpiModel(ExecutionModel):
-    """Hierarchical DLS via MPI+MPI (the proposed approach)."""
+    """Hierarchical DLS via MPI+MPI (the proposed approach).
+
+    Its depth-1 path is the one flat global-counter protocol of this
+    package: :class:`~repro.models.flat_mpi.FlatMpiModel` and
+    :class:`~repro.models.dcc.DccModel` are configurations of it that
+    differ only in the class facts below (levels composed, root
+    calculator, counters, fetch-wait feedback).
+    """
 
     name = "mpi+mpi"
     supports_placement = True
     supports_faults = True
+    #: whether a listening root calculator also hears each chunk's
+    #: fetch wait (``record_wait``) on the depth-1 path
+    feeds_fetch_wait = True
 
-    def _execute(self, run: _Run) -> None:
-        depth = run.spec.depth
-        if depth > MAX_LEVELS:
+    def _levels(self, run: _Run) -> int:
+        """Scheduling levels the model composes (``n_sched_levels``)."""
+        return run.spec.depth
+
+    def _tiers(self, run: _Run) -> int:
+        """Depth of the rank protocol: 1 is the flat counter loop with
+        no tier queues."""
+        return run.spec.depth
+
+    def _root_calculator(self, run: _Run, world: MpiWorld) -> ChunkCalculator:
+        """The global queue's calculator: the root technique over the
+        ranks (flat loop) or the nodes (tier queues below)."""
+        return run.spec.inter.make_calculator(
+            run.workload.n,
+            world.size if self._tiers(run) == 1 else run.cluster.n_nodes,
+            rng=run.sim.rng("inter-rnd"),
+            chunk_overhead=run.costs.chunk_calc,
+        )
+
+    def _pinned(self, run: _Run) -> bool:
+        """Whether the root hands PE ``p`` exactly chunk ``p`` (STATIC)."""
+        return run.spec.inter.technique.pinned_per_pe
+
+    def _collect_counters(
+        self, run: _Run, queue: GlobalQueue, local_queues, plan
+    ) -> None:
+        """Fill ``run.counters`` once the ranks are done."""
+        collect_queue_counters(run, queue, local_queues, plan)
+
+    def setup(self, run: _Run):
+        """Build the world, the global queue, the tier queues and the
+        placement plan — the one construction both engines run.
+
+        Returns ``(world, queue, local_queues, plan)``; ``local_queues``
+        is empty on the flat (depth-1) protocol and ``plan`` is None
+        under the default ``"leader"`` homes.
+        """
+        levels = self._levels(run)
+        if levels > MAX_LEVELS:
             raise ValueError(
-                f"mpi+mpi maps scheduling levels onto machine tiers "
+                f"{self.name} maps scheduling levels onto machine tiers "
                 f"cluster->node->socket->numa->core and therefore supports "
-                f"at most {MAX_LEVELS} levels; got a depth-{depth} stack "
+                f"at most {MAX_LEVELS} levels; got a depth-{levels} stack "
                 f"({run.spec.label})"
             )
-        run.n_sched_levels = depth
+        run.n_sched_levels = levels
+        tiers = self._tiers(run)
         # window placement: None = historical leader homes (fast path,
-        # bit-exact); a plan moves the global host and/or window homes
+        # bit-exact); a plan moves the global host and/or window homes.
+        # It prices the windows the rank protocol uses, so a flat loop
+        # over a deeper stack is priced against the root level alone.
         plan = None
         if not (isinstance(run.placement, str) and run.placement == "leader"):
             from repro.cluster.placement_opt import resolve_placement
+            from repro.core.hierarchy import HierarchicalSpec
 
             plan = resolve_placement(
                 run.placement,
-                run.spec,
+                run.spec if tiers == run.spec.depth
+                else HierarchicalSpec(levels=(run.spec.inter,)),
                 run.workload.n,
                 run.cluster,
                 run.ppn,
@@ -316,22 +367,20 @@ class MpiMpiModel(ExecutionModel):
             costs=run.costs,
             faults=run.faults if run.faults_active else None,
         )
-        inter_pes = world.size if depth == 1 else run.cluster.n_nodes
-        inter_calc = run.spec.inter.make_calculator(
-            run.workload.n,
-            inter_pes,
-            rng=run.sim.rng("inter-rnd"),
-            chunk_overhead=run.costs.chunk_calc,
-        )
         queue = GlobalQueue(
             world,
-            inter_calc,
+            self._root_calculator(run, world),
             run.workload.n,
             host_rank=0 if plan is None else plan.global_host,
-            pinned=run.spec.inter.technique.pinned_per_pe,
+            pinned=self._pinned(run),
             run=run,
         )
-        local_queues = self._build_queues(run, world, queue, depth, plan)
+        local_queues = self._build_queues(run, world, queue, tiers, plan)
+        return world, queue, local_queues, plan
+
+    def _execute(self, run: _Run) -> None:
+        world, queue, local_queues, plan = self.setup(run)
+        depth = self._tiers(run)
         finish_times = {}
         chunk_counts = {}
         iter_counts = {}
@@ -339,16 +388,16 @@ class MpiMpiModel(ExecutionModel):
         def worker(ctx: RankCtx):
             # the rank's process runs its loop generator directly: no
             # pass-through frame between the engine and the loop
-            if depth == 1:
+            if not local_queues:
                 return self._flat_worker_loop(
                     run, ctx, queue, finish_times, chunk_counts, iter_counts,
                 )
-            leaf, child = self._leaf_of(run, world, local_queues, ctx, depth)
+            leaf, child = self._leaf_of(local_queues, ctx, depth)
             return self._worker_loop(
                 run, ctx, leaf, child, finish_times, chunk_counts, iter_counts,
             )
 
-        recover = self._make_recover(run, world, queue, local_queues, depth)
+        recover = self._make_recover(run, world, queue, local_queues)
         processes = run_world(run, world, worker, recover=recover)
         for process, ctx in zip(processes, world.contexts):
             # a crash-stopped rank never reaches the loop epilogue: fall
@@ -367,7 +416,7 @@ class MpiMpiModel(ExecutionModel):
                 lq.shm.n_leases_broken
                 for _, lq in sorted_queue_items(local_queues)
             )
-        collect_queue_counters(run, queue, local_queues, plan)
+        self._collect_counters(run, queue, local_queues, plan)
 
     # ------------------------------------------------------------------
     def _build_queues(
@@ -437,13 +486,9 @@ class MpiMpiModel(ExecutionModel):
                     )
         return local_queues
 
+    @staticmethod
     def _leaf_of(
-        self,
-        run: _Run,
-        world: MpiWorld,
-        local_queues: Dict[object, _LocalQueue],
-        ctx: RankCtx,
-        depth: int,
+        local_queues: Dict[object, _LocalQueue], ctx: RankCtx, depth: int
     ) -> Tuple[_LocalQueue, int]:
         """The queue a rank grabs sub-chunks from, and its child index."""
         if depth == 2:
@@ -523,9 +568,13 @@ class MpiMpiModel(ExecutionModel):
         world: MpiWorld,
         queue: GlobalQueue,
         local_queues: Dict[object, _LocalQueue],
-        depth: int,
     ):
-        """Build the per-dead-rank recovery generator for the injector."""
+        """Build the per-dead-rank recovery generator for the injector.
+
+        The one recovery path of every model built on :meth:`setup`;
+        the flat protocol has no tier queues, so its reclaimed ranges
+        go to the shared orphan pool.
+        """
 
         def recover(dead_rank: int):
             # 1. coordinator failover: windows homed/hosted on the dead
@@ -549,7 +598,7 @@ class MpiMpiModel(ExecutionModel):
             # remaining contents of any queue whose whole group died,
             # plus a pinned STATIC chunk the victim never fetched
             stranded = list(run.claims.pop(dead_rank, ()))
-            if depth == 1 and queue.pinned and not queue._pinned_taken.get(
+            if not local_queues and queue.pinned and not queue._pinned_taken.get(
                 dead_rank
             ):
                 queue._pinned_taken[dead_rank] = True
@@ -752,23 +801,39 @@ class MpiMpiModel(ExecutionModel):
         self, run: _Run, ctx: RankCtx, queue: GlobalQueue,
         finish_times, chunk_counts, iter_counts,
     ):
-        """Depth-1 stacks: every rank fetches from the global queue."""
+        """The flat protocol: every rank fetches from the global queue.
+
+        The common case — a deterministic, unpinned calculator with no
+        fault model (every dCC run) — inlines
+        :meth:`GlobalQueue.next_chunk`: one fetch-and-increment of the
+        step counter, the chunk-calculation overhead, then the local
+        :meth:`GlobalQueue.resolve_step`.
+        """
         sim = run.sim
         trace = run.trace
         calc = queue.calc
         listens = calc.listens
+        feeds_wait = listens and self.feeds_fetch_wait
         claims_on = run.faults_active
+        plain = calc.deterministic and not queue.pinned and not claims_on
+        window = queue.window
+        resolve = queue.resolve_step
+        calc_delay = Overhead(run.costs.chunk_calc)
         n_chunks = 0
         n_iters = 0
         while True:
             t_obtain = sim.now
-            if claims_on and run.orphans:
+            if plain:
+                step = yield from window.fetch_and_op(ctx, "step", 1)
+                yield calc_delay
+                step, start, size = resolve(step)
+            elif claims_on and run.orphans:
                 # a dead rank's reclaimed range: adopt it (claim before
                 # the bookkeeping access so a crash mid-adoption cannot
                 # lose it a second time), then pay one window read
                 step, start, size = run.orphans.pop(0)
                 run.claim(ctx.rank, step, start, size)
-                yield from queue.window.get(ctx, "step")
+                yield from window.get(ctx, "step")
             else:
                 step, start, size = yield from queue.next_chunk(ctx, pe=ctx.rank)
             if size <= 0:
@@ -780,7 +845,7 @@ class MpiMpiModel(ExecutionModel):
                 continue
             if trace is not None and sim.now > t_obtain:
                 trace.add(ctx.name(), t_obtain, sim.now, trace_mod.OBTAIN)
-            if listens:
+            if feeds_wait:
                 calc.record_wait(ctx.rank, sim.now - t_obtain)
             run.record_chunk(step, start, size, pe=ctx.rank)
             duration = run.exec_time(start, size, ctx.node, ctx.core)

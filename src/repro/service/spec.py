@@ -23,13 +23,11 @@ from typing import Any, List, Mapping, Optional, Tuple
 
 from repro.cluster.costs import COST_PRESETS, CostModel
 from repro.cluster.machine import ClusterSpec, minihpc
+from repro.models import MODELS
 from repro.workloads.base import Workload
 
 #: applications a service request may name (the calibrated figure kernels)
 KNOWN_APPS = ("mandelbrot", "psia")
-
-#: execution models a service request may name
-KNOWN_APPROACHES = ("mpi+mpi", "mpi+openmp", "flat-mpi", "master-worker", "dcc")
 
 
 class SpecError(ValueError):
@@ -120,8 +118,8 @@ class SweepSpec:
         )
         for approach in approaches:
             _require(
-                approach in KNOWN_APPROACHES,
-                f"unknown approach {approach!r}; known: {list(KNOWN_APPROACHES)}",
+                isinstance(approach, str) and approach in MODELS,
+                f"unknown approach {approach!r}; known: {list(MODELS)}",
             )
         node_counts = payload.get("node_counts", payload.get("nodes", [2, 4]))
         if isinstance(node_counts, int):

@@ -251,17 +251,32 @@ def execute_cohort(model, run) -> None:
     for ``engine="cohort"``.  Eligible configurations go through the
     macro interpreter (bit-exact except ``n_events``); everything else
     runs ``model._execute`` unchanged, so the result — including
-    ``n_events`` — is the scalar result.
+    ``n_events`` — is the scalar result.  Both paths build their world
+    and queues with the model's own :meth:`setup
+    <repro.models.mpi_mpi.MpiMpiModel.setup>`.
     """
     if cohort_blockers(model, run):
         model._execute(run)
         return
-    if model.name == "dcc":
-        _run_dcc(model, run)
-    elif run.spec.depth == 1:
-        _run_flat(model, run)
+    world, queue, local_queues, plan = model.setup(run)
+    ranks = [
+        _Rank(ctx.rank, ctx.node, ctx.core, ctx.local_rank)
+        for ctx in world.contexts
+    ]
+    if local_queues:
+        _run_depth2(run, queue, local_queues, ranks)
     else:
-        _run_depth2(model, run)
+        _run_flat(run, queue, ranks)
+    for state, ctx in zip(ranks, world.contexts):
+        run.record_worker(
+            name=ctx.name(),
+            node=ctx.node,
+            finish_time=state.finish_time,
+            process=state,
+            n_chunks=state.n_chunks,
+            n_iterations=state.n_iters,
+        )
+    model._collect_counters(run, queue, local_queues, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -299,33 +314,21 @@ def _fifo_release(lane, fifo: _GlobalFifo, commit: float) -> None:
         fifo.busy = False
 
 
-def _record_workers(run, world, ranks: List[_Rank], finish, chunks, iters) -> None:
-    """Run the scalar models' worker-stat epilogue over cohort ranks."""
-    for state, ctx in zip(ranks, world.contexts):
-        run.record_worker(
-            name=ctx.name(),
-            node=ctx.node,
-            finish_time=finish.get(ctx.rank, state.finish_time),
-            process=state,
-            n_chunks=chunks.get(ctx.rank, 0),
-            n_iterations=iters.get(ctx.rank, 0),
-        )
-
-
 # ---------------------------------------------------------------------------
-# depth-1 drivers: one serialised counter, no tier locks
+# depth-1 driver: one serialised counter, no tier locks
 # ---------------------------------------------------------------------------
 
 
-def _run_counter_loop(run, world, window, ranks, resolve, on_chunk, on_done) -> int:
-    """Drive the fetch/compute loop of the flat protocols.
+def _run_flat(run, queue, ranks: List[_Rank]) -> None:
+    """Replay the flat protocol of
+    :meth:`repro.models.mpi_mpi.MpiMpiModel._flat_worker_loop`
+    (mpi+mpi at depth 1, and dCC) as macro events.
 
-    ``resolve(step, rank_state, now)`` maps a committed counter value to
-    ``(step, start, size)`` or None for exhaustion; ``on_chunk`` and
-    ``on_done`` emit the model-specific records.  Returns the macro
-    count.  Chunk-calculation overhead and latency accrue per rank in
-    protocol order; records are emitted at their anchored macro times.
+    Chunk-calculation overhead and latency accrue per rank in protocol
+    order; records are emitted at their anchored macro times.
     """
+    window = queue.window
+    resolve = queue.resolve_step
     lane = CohortLane()
     fifo = _GlobalFifo()
     profiles = {
@@ -365,13 +368,11 @@ def _run_counter_loop(run, world, window, ranks, resolve, on_chunk, on_done) -> 
             _fifo_release(lane, fifo, time)
         elif code == _M_RESOLVE:
             step, state = payload
-            chunk = resolve(step, state, time)
-            if chunk is None:
+            step, start, size = resolve(step)
+            if size <= 0:
                 state.finish_time = time
-                on_done(state, time)
                 continue
-            step, start, size = chunk
-            on_chunk(state, step, start, size, time)
+            run.record_chunk(step, start, size, pe=state.rank)
             duration = run.exec_time(start, size, state.node, state.core)
             state.compute_time += duration
             lane.schedule(time + duration, time, _M_CDONE, (step, start, size, state))
@@ -382,101 +383,6 @@ def _run_counter_loop(run, world, window, ranks, resolve, on_chunk, on_done) -> 
             state.n_iters += size
             fetch(state, time)
     run.sim.n_events_processed += macros
-    return macros
-
-
-def _make_ranks(run, world) -> List[_Rank]:
-    """One accumulator per rank, in world (spawn) order."""
-    return [
-        _Rank(ctx.rank, ctx.node, ctx.core, ctx.local_rank)
-        for ctx in world.contexts
-    ]
-
-
-def _run_dcc(model, run) -> None:
-    """Cohort driver for the dCC model (single global step counter)."""
-    from repro.models.dcc import (
-        MAX_LEVELS,
-        _flatten_schedule,
-        collect_dcc_counters,
-    )
-    from repro.smpi.world import MpiWorld
-
-    depth = run.spec.depth
-    if depth > MAX_LEVELS:
-        raise ValueError(
-            f"dcc maps scheduling levels onto machine tiers "
-            f"cluster->node->socket->numa->core and therefore supports "
-            f"at most {MAX_LEVELS} levels; got a depth-{depth} stack "
-            f"({run.spec.label})"
-        )
-    run.n_sched_levels = depth
-    world = MpiWorld(run.sim, run.cluster, ppn=run.ppn, costs=run.costs)
-    schedule = _flatten_schedule(run, world)
-    starts = [start for start, _ in schedule]
-    sizes = [size for _, size in schedule]
-    n_steps = len(schedule)
-    window = world.create_window(0, {"step": 0})
-    ranks = _make_ranks(run, world)
-    finish: Dict[int, float] = {}
-    chunks: Dict[int, int] = {}
-    iters: Dict[int, int] = {}
-
-    def resolve(step, state, now):
-        if step >= n_steps:
-            return None
-        return step, starts[step], sizes[step]
-
-    def on_chunk(state, step, start, size, now):
-        run.record_chunk(step, start, size, pe=state.rank)
-
-    def on_done(state, now):
-        finish[state.rank] = now
-        chunks[state.rank] = state.n_chunks
-        iters[state.rank] = state.n_iters
-
-    _run_counter_loop(run, world, window, ranks, resolve, on_chunk, on_done)
-    _record_workers(run, world, ranks, finish, chunks, iters)
-    collect_dcc_counters(run, window, n_steps, None)
-
-
-def _run_flat(model, run) -> None:
-    """Cohort driver for depth-1 mpi+mpi (flat global-queue protocol)."""
-    from repro.models.base import GlobalQueue
-    from repro.models.mpi_mpi import collect_queue_counters
-    from repro.smpi.world import MpiWorld
-
-    run.n_sched_levels = 1
-    world = MpiWorld(run.sim, run.cluster, ppn=run.ppn, costs=run.costs)
-    inter_calc = run.spec.inter.make_calculator(
-        run.workload.n,
-        world.size,
-        rng=run.sim.rng("inter-rnd"),
-        chunk_overhead=run.costs.chunk_calc,
-    )
-    queue = GlobalQueue(world, inter_calc, run.workload.n, host_rank=0, run=run)
-    ranks = _make_ranks(run, world)
-    finish: Dict[int, float] = {}
-    chunks: Dict[int, int] = {}
-    iters: Dict[int, int] = {}
-
-    def resolve(step, state, now):
-        step, start, size = queue.resolve_step(step)
-        if size <= 0:
-            return None
-        return step, start, size
-
-    def on_chunk(state, step, start, size, now):
-        run.record_chunk(step, start, size, pe=state.rank)
-
-    def on_done(state, now):
-        finish[state.rank] = now
-        chunks[state.rank] = state.n_chunks
-        iters[state.rank] = state.n_iters
-
-    _run_counter_loop(run, world, queue.window, ranks, resolve, on_chunk, on_done)
-    _record_workers(run, world, ranks, finish, chunks, iters)
-    collect_queue_counters(run, queue, {}, None)
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +390,7 @@ def _run_flat(model, run) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_depth2(model, run) -> None:
+def _run_depth2(run, queue, local_queues, ranks: List[_Rank]) -> None:
     """Cohort driver for the paper's two-level mpi+mpi configuration.
 
     Replays the full protocol of
@@ -494,22 +400,6 @@ def _run_depth2(model, run) -> None:
     RMA unit, deposits, takes and compute — anchored at the simulated
     seconds the scalar events would land.
     """
-    from repro.models.base import GlobalQueue
-    from repro.models.mpi_mpi import collect_queue_counters
-    from repro.smpi.world import MpiWorld
-
-    run.n_sched_levels = 2
-    world = MpiWorld(run.sim, run.cluster, ppn=run.ppn, costs=run.costs)
-    n_nodes = run.cluster.n_nodes
-    inter_calc = run.spec.inter.make_calculator(
-        run.workload.n,
-        n_nodes,
-        rng=run.sim.rng("inter-rnd"),
-        chunk_overhead=run.costs.chunk_calc,
-    )
-    queue = GlobalQueue(world, inter_calc, run.workload.n, host_rank=0, run=run)
-    local_queues = model._build_queues(run, world, queue, 2, None)
-
     mpi = run.costs.mpi
     A = mpi.shm_lock_attempt  # per-attempt message cost (seconds)
     ACC3 = 3 * mpi.shm_access
@@ -519,15 +409,11 @@ def _run_depth2(model, run) -> None:
 
     lane = CohortLane()
     fifo = _GlobalFifo()
-    ranks = _make_ranks(run, world)
     locks: Dict[int, _NodeLock] = {}
     profiles: Dict[int, Tuple[float, float, bool]] = {}
-    for node in range(n_nodes):
+    for node in range(run.cluster.n_nodes):
         locks[node] = _NodeLock(node, local_queues[node].shm)
         profiles[node] = queue.window.price_of(node * run.ppn)[:3]
-    finish: Dict[int, float] = {}
-    chunks: Dict[int, int] = {}
-    iters: Dict[int, int] = {}
     live = len(ranks)
 
     def arrive(state: _Rank, now: float) -> None:
@@ -671,9 +557,6 @@ def _run_depth2(model, run) -> None:
             state = payload
             release(locks[state.node], now)
             state.finish_time = now
-            finish[state.rank] = now
-            chunks[state.rank] = state.n_chunks
-            iters[state.rank] = state.n_iters
             live -= 1
         elif code == _M_UNLOCK_EMPTY:
             state = payload
@@ -694,5 +577,3 @@ def _run_depth2(model, run) -> None:
             f"cohort engine deadlock: {live} rank(s) never terminated"
         )
     run.sim.n_events_processed += macros
-    _record_workers(run, world, ranks, finish, chunks, iters)
-    collect_queue_counters(run, queue, local_queues, None)

@@ -263,7 +263,6 @@ class Simulator:
         #: buffered streams: name -> (draw, params, next-value function)
         self._streams: Dict[str, Tuple[Callable, tuple, Callable[[], float]]] = {}
         self.processes: List[Process] = []
-        self._halted: Optional[str] = None
         self.trace = trace
         self.n_events_processed = 0
         #: callbacks :meth:`close` runs (layers that own per-process state)
@@ -665,7 +664,6 @@ class Simulator:
         if code == _KIND_HALT:
             if from_heap:
                 heapq.heappop(self._heap)
-            self._halted = command.reason or "halted"
             raise _HaltSignal()
         if from_heap:
             heapq.heappop(self._heap)
@@ -673,11 +671,6 @@ class Simulator:
             f"process {process.name!r} yielded unsupported command "
             f"{command!r} of type {type(command).__name__}"
         )
-
-    @property
-    def halted_reason(self) -> Optional[str]:
-        """Why a :class:`Halt` stopped the run, or None if none did."""
-        return self._halted
 
     # ------------------------------------------------------------------
     # engine internals

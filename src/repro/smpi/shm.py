@@ -380,17 +380,6 @@ class SharedWindow:
         self.total_penalty_s += n * prices[3]
         return Overhead(n * prices[2])
 
-    def atomic_fetch_add(self, ctx: "RankCtx", cell: str, value: int):
-        """Lock-free shared atomic (``MPI_Fetch_and_op`` on the local
-        window) — does *not* require holding the window lock."""
-        self._check_cell(cell)
-        penalty = self._prices_of(ctx.rank)[4]
-        self.total_penalty_s += penalty
-        yield Overhead(self.world.costs.mpi.shm_atomic + penalty)
-        old = self.cells[cell]
-        self.cells[cell] = old + value
-        return old
-
     def _check_cell(self, cell: str) -> None:
         if cell not in self.cells:
             raise KeyError(f"shared window has no cell {cell!r}")

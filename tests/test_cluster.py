@@ -127,7 +127,6 @@ def test_interconnect_intra_faster_than_inter():
     net = Interconnect(cluster, MpiCosts(), block_placement(cluster, 4))
     # ranks 0-3 share node 0; rank 4 lives on node 1
     assert net.message_time(0, 1, 64) < net.message_time(0, 4, 64)
-    assert net.atomic_time(0, 1) < net.atomic_time(0, 4)
     assert net.transfer_time(0, 1, 1024) < net.transfer_time(0, 4, 1024)
 
 

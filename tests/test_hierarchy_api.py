@@ -8,7 +8,7 @@ from repro.core.chunking import unroll, verify_schedule
 from repro.core.hierarchy import HierarchicalSpec, LevelSpec
 from repro.core.technique_base import IterationProfile
 from repro.core.techniques import get_technique
-from repro.models import MpiMpiModel
+from repro.models import MODELS, MpiMpiModel
 from repro.workloads import uniform_workload
 
 
@@ -71,6 +71,62 @@ def test_approaches_tuple_stable():
     assert set(APPROACHES) == {
         "mpi+mpi", "mpi+openmp", "flat-mpi", "master-worker", "dcc"
     }
+
+
+def test_every_spelling_resolves_through_the_one_registry():
+    """The accepted approach spellings are exactly the canonical names,
+    in any case, with ``_``/``-``/spaces dropped, with or without ``+``."""
+    from repro.api import _resolve_model
+
+    spellings = {
+        "mpi+mpi": ("MPI+MPI", "mpi_mpi", "mpimpi", " Mpi-Mpi "),
+        "mpi+openmp": ("MPI+OpenMP", "mpi_openmp", "mpiopenmp"),
+        "flat-mpi": ("flat-mpi", "FLAT_MPI", "flatmpi", "flat mpi"),
+        "master-worker": ("master-worker", "MasterWorker", "master_worker"),
+        "dcc": ("dcc", "DCC", "d-c-c"),
+    }
+    assert tuple(spellings) == APPROACHES == tuple(MODELS)
+    for name, aliases in spellings.items():
+        for alias in aliases:
+            assert type(_resolve_model(alias)) is MODELS[name]
+    for wrong in ("mpi", "flat+mpi", "openmp", "mpi+mpi+mpi"):
+        with pytest.raises(ValueError, match="unknown approach"):
+            _resolve_model(wrong)
+
+
+UNPLACED = [name for name, model in MODELS.items() if not model.supports_placement]
+UNFAULTED = [name for name, model in MODELS.items() if not model.supports_faults]
+
+
+def test_capability_flags():
+    assert UNPLACED == ["mpi+openmp", "flat-mpi", "master-worker"]
+    assert UNFAULTED == ["mpi+openmp"]
+
+
+@pytest.mark.parametrize("approach", UNPLACED)
+def test_placement_rejection_names_the_models_that_place(approach):
+    with pytest.raises(ValueError) as error:
+        run_hierarchical(
+            uniform_workload(64, seed=1), homogeneous(2, 4), "GSS", "SS",
+            approach=approach, ppn=4, placement="optimized",
+        )
+    assert str(error.value) == (
+        f"{approach} places windows at tier leaders only; "
+        "placement='optimized' requires the mpi+mpi or dcc model"
+    )
+
+
+@pytest.mark.parametrize("approach", UNFAULTED)
+def test_fault_rejection_names_the_failure_aware_models(approach):
+    with pytest.raises(ValueError) as error:
+        run_hierarchical(
+            uniform_workload(64, seed=1), homogeneous(2, 4), "GSS", "SS",
+            approach=approach, ppn=4, faults="crash:1@0.001",
+        )
+    assert str(error.value) == (
+        f"{approach} has no failure-aware scheduling path; an active fault "
+        "model requires the mpi+mpi, flat-mpi, master-worker or dcc model"
+    )
 
 
 def test_run_hierarchical_accepts_technique_instances():

@@ -104,7 +104,6 @@ def test_tier_costs_are_monotone_in_distance(topo, knobs):
     for nearer, farther in zip(present, present[1:]):
         pair_n, pair_f = representative[nearer], representative[farther]
         assert net.message_time(*pair_n, 64) <= net.message_time(*pair_f, 64)
-        assert net.atomic_time(*pair_n) <= net.atomic_time(*pair_f)
         assert net.transfer_time(*pair_n, 1024) <= net.transfer_time(*pair_f, 1024)
     # the penalty tables themselves are monotone ladders
     for t1, t2 in zip(Tier, list(Tier)[1:]):
@@ -125,7 +124,6 @@ def test_zero_penalties_collapse_to_two_classes(topo):
             remote = net.distance(a, b) is Tier.NETWORK
             cost = (
                 net.message_time(a, b, 64),
-                net.atomic_time(a, b),
                 net.transfer_time(a, b, 256),
             )
             by_class.setdefault(remote, set()).add(cost)

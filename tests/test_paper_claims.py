@@ -3,14 +3,18 @@ numbers, Table 1 and Figures 2/3 reproduce, each asserted through its
 report at ``scale="quick"``.
 
 One case per report, named by the paper section it speaks to; a failing
-case prints the whole report.
+case prints the whole report.  The one known deviation (E-N1: the
+Mandelbrot gap does not narrow from 2 to 16 nodes) is a strict xfail on
+the real predicate, so a fix shows up as a failure to review.
 """
+
+import functools
 
 import pytest
 
 from repro.experiments.ablations import ABLATIONS
 from repro.experiments.figures import FIGURES, run_figure, run_sync_illustration, run_variant
-from repro.experiments.intext import intext_variant
+from repro.experiments.intext import _gaps, intext_variant
 from repro.experiments.tables import table1, table1_rows
 
 CLAIMS = [
@@ -23,12 +27,30 @@ CLAIMS = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _quick(build):
+    """``build``'s report at ``quick`` scale, run once per test process."""
+    return run_variant(build(), scale="quick", seed=0)
+
+
 @pytest.mark.parametrize(
     "section, build", CLAIMS, ids=[section for section, _ in CLAIMS]
 )
 def test_paper_claim_holds_at_quick_scale(section, build):
-    result = run_variant(build(), scale="quick", seed=0)
+    result = _quick(build)
     assert result.all_passed, f"{section}\n{result.to_text()}"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known deviation E-N1: the MPI+OpenMP/MPI+MPI gap widens "
+    "(1.21x -> 1.29x at quick) where the paper's narrows (3.1x -> 1.45x)",
+)
+def test_mandelbrot_gap_narrows_from_2_to_16_nodes():
+    """Sec. 5, E-N1: Mandelbrot GSS+STATIC, MPI+OpenMP over MPI+MPI
+    time, is larger at 2 nodes than at 16."""
+    gaps = _gaps(_quick(intext_variant))
+    assert gaps["mandelbrot", 2] > gaps["mandelbrot", 16], gaps
 
 
 @pytest.mark.parametrize("figure_id", sorted(FIGURES))

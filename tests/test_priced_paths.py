@@ -116,11 +116,6 @@ def test_shared_window_fail_over_charges_the_new_homes_penalties():
     )
     assert window.total_penalty_s == atomic + 3 * load + atomic
 
-    def fetch_add():
-        yield from window.atomic_fetch_add(ctx, "c", 1)
-
-    assert _overhead_of(world, fetch_add()) == mpi.shm_atomic + atomic
-
 
 def test_lock_retries_keep_the_first_attempts_prices_across_fail_over():
     """Every retry of one acquisition is priced like its first attempt;

@@ -212,20 +212,6 @@ def test_win_sync_charges_cost_and_counts():
     assert procs[0].overhead_time == pytest.approx(world.costs.mpi.shm_win_sync)
 
 
-def test_atomic_fetch_add_without_lock():
-    world = make_world()
-    shm = world.create_shared_window(0, {"step": 0})
-    olds = []
-
-    def main(ctx):
-        old = yield from shm.atomic_fetch_add(ctx, "step", 1)
-        olds.append(old)
-
-    world.run(main)
-    assert sorted(olds) == [0, 1, 2, 3]
-    assert shm.peek("step") == 4
-
-
 def test_state_dict_with_access_charging():
     world = make_world()
     shm = world.create_shared_window(0, {"n_ranges": 0})
