@@ -137,13 +137,6 @@ class Placement:
             }
         )
 
-    def node_leaders(self) -> List[int]:
-        """Lowest rank on each node, in node order (the 'coordinators')."""
-        seen: dict[int, int] = {}
-        for rank, (node, _, _, _) in enumerate(self.slots):
-            seen.setdefault(node, rank)
-        return [seen[n] for n in sorted(seen)]
-
     def local_rank(self, rank: int) -> int:
         """Rank's index among the ranks of its own node (shared-memory comm)."""
         return self._tier_index()[3]["node"][rank]

@@ -205,8 +205,3 @@ def verify_schedule(chunks: Iterable[Chunk], n: int) -> None:
     cursor = int(ends[-1]) if ends.size else 0
     if cursor != n:
         raise ScheduleError(f"schedule covers [0, {cursor}) but the loop has {n} iterations")
-
-
-def chunk_sizes(chunks: Sequence[Chunk]) -> List[int]:
-    """Sizes in step order (convenience for tests and reports)."""
-    return [c.size for c in sorted(chunks, key=lambda c: c.step)]

@@ -20,6 +20,7 @@ node; no rank or node index identifies a cell or point.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -33,13 +34,22 @@ from repro.experiments.harness import Cell, GridRunner, series_index
 from repro.experiments.workloads import figure_workload, scale_from_env
 from repro.models.base import ExecutionModel
 
+
+@functools.lru_cache(maxsize=256)
+def _intel_openmp_schedules(intra: str) -> bool:
+    """Whether the Intel OpenMP runtime the paper used can run ``intra``.
+
+    It only provides static/dynamic/guided, so MPI+OpenMP series exist
+    only for those leaf schedules (for ``+``-joined stacks the leaf is
+    what the OpenMP ``schedule`` clause implements).  Memoised: every
+    sweep and every check pass asks once per panel.
+    """
+    return split_stack(intra)[-1] in INTEL_OPENMP_SUPPORTED
+
+
 #: plotted approaches: label -> (model name, intra-technique filter)
 APPROACHES: List[Tuple[str, Callable[[str], bool]]] = [
-    # the Intel OpenMP runtime the paper used only provides
-    # static/dynamic/guided, so MPI+OpenMP series exist only for those
-    # leaf schedules (for ``+``-joined stacks the leaf is what the
-    # OpenMP ``schedule`` clause implements)
-    ("mpi+openmp", lambda intra: split_stack(intra)[-1] in INTEL_OPENMP_SUPPORTED),
+    ("mpi+openmp", _intel_openmp_schedules),
     ("mpi+mpi", lambda intra: True),
 ]
 
@@ -210,9 +220,10 @@ for _fig, _inter in (("fig4", "STATIC"), ("fig5", "GSS"), ("fig6", "TSS"), ("fig
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShapeCheck:
-    """One qualitative acceptance criterion with its outcome."""
+    """One qualitative acceptance criterion with its outcome (frozen, so
+    memoised check lists share their elements)."""
 
     description: str
     passed: bool
@@ -225,6 +236,15 @@ class ShapeCheck:
         if self.detail:
             out += f"  ({self.detail})"
         return out
+
+
+#: most figures whose checks :meth:`FigureResult.run_checks` keeps: two
+#: sweeps of the eight paper figures (an entry holds its cells, about
+#: 10 KB for a figure of 32 cells)
+CHECKS_MEMO_CAP = 16
+
+#: (spec, ids of its cells) -> (the cells, their checks)
+_CHECKS_MEMO: Dict[Tuple, Tuple[Tuple[Cell, ...], Tuple[ShapeCheck, ...]]] = {}
 
 
 @dataclass
@@ -249,7 +269,32 @@ class FigureResult:
 
     # ------------------------------------------------------------------
     def run_checks(self) -> List[ShapeCheck]:
-        """Evaluate the paper's qualitative findings on this figure."""
+        """Evaluate the paper's qualitative findings on this figure.
+
+        Memoised (at most :data:`CHECKS_MEMO_CAP` figures, oldest
+        evicted first) under the spec and the identities of the cells;
+        the entry holds the cells, so no id is reused while it lives.
+        Cells are frozen, so the same objects give the same checks: a
+        repeat warm sweep, whose cache hits return the cells decoded
+        before, evaluates nothing.  Simulated cells, and cells decoded
+        from a rewritten cache file, are new objects and miss.  Each
+        result gets its own list of the shared (frozen) checks.
+        """
+        cells = tuple(self.cells)
+        key = (self.spec, tuple(map(id, cells)))
+        entry = _CHECKS_MEMO.get(key)
+        if entry is None:
+            # imported here, as harness does: the process pool module
+            # would load multiprocessing for every figures import
+            from repro.experiments.parallel import _remember
+
+            entry = (cells, tuple(self._shape_checks()))
+            _remember(_CHECKS_MEMO, CHECKS_MEMO_CAP, key, entry)
+        self.checks = list(entry[1])
+        return self.checks
+
+    def _shape_checks(self) -> List[ShapeCheck]:
+        """The checks of :meth:`run_checks`, evaluated on ``cells``."""
         checks: List[ShapeCheck] = []
         spec = self.spec
 
@@ -333,8 +378,6 @@ class FigureResult:
                     detail=f"hybrid/mpimpi ratios {['%.2f' % r for r in gss_ratios]}",
                 )
             )
-
-        self.checks = checks
         return checks
 
     # ------------------------------------------------------------------

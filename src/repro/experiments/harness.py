@@ -233,9 +233,10 @@ class GridRunner:
             if supports(intra)
             for nodes in self.node_counts
         ]
+        # node counts are the innermost loop: a non-empty grid has them all
         by_nodes = {
             nodes: self.cluster_factory(nodes)
-            for nodes in dict.fromkeys(spec[3] for spec in specs)
+            for nodes in (dict.fromkeys(self.node_counts) if specs else ())
         }
         clusters = [by_nodes[spec[3]] for spec in specs]
 
@@ -245,14 +246,14 @@ class GridRunner:
         if cache is not None:
             fingerprint = workload_fingerprint(self.workload)
             for index, (spec, cluster) in enumerate(zip(specs, clusters)):
-                keys[index] = cell_key(
+                key = keys[index] = cell_key(
                     fingerprint, cluster, *spec, self.ppn, self.seed,
                     costs=self.costs, placement=self.placement,
                     faults=self.faults,
                 )
-                cells[index] = cache.get(keys[index])
-                if cells[index] is not None:
-                    self._report(cells[index], cached=True)
+                cell = cells[index] = cache.get(key)
+                if cell is not None:
+                    self._report(cell, cached=True)
 
         missing = [i for i, cell in enumerate(cells) if cell is None]
 

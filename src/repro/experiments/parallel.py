@@ -14,7 +14,9 @@ GridRunner` and the sweep service share:
   version.  A second sweep over the same inputs runs zero simulations;
   changing any input misses cleanly.  Within one process a repeat read
   of an unchanged file decodes nothing: :meth:`CellCache.get` compares
-  the file's bytes with its last valid read of that path.
+  the file's bytes with its last valid read of that path; and a repeat
+  :func:`cell_key` call hashes nothing: it returns the digest it
+  finished for the same inputs.
 * :class:`CellExecutor` — the one process pool: built on the first
   miss, replaced when a worker dies (the dead pool's unfinished cells
   run once more), plus the service's in-flight registry.
@@ -229,6 +231,16 @@ def _sweep_json(workload_fp, ppn, seed, costs, placement, faults):
     )
 
 
+#: most finished digests :func:`cell_key` keeps (the eight paper
+#: figures are 256 cells; an entry is about 0.5 KB)
+CELL_KEY_MEMO_CAP = 2048
+
+#: cell_key inputs -> (cluster, DEFAULT_COSTS, MILD_NOISE, digest); the
+#: entry holds the objects whose ids are in the key, so no id is reused
+#: while its entry lives
+_CELL_KEYS: Dict[Tuple, Tuple[ClusterSpec, CostModel, object, str]] = {}
+
+
 def cell_key(
     workload_fp: str,
     cluster: ClusterSpec,
@@ -256,16 +268,39 @@ def cell_key(
     The payload is the sorted-key compact JSON of all inputs; only the
     per-cell fields are encoded per call (strings quoted as ``json``
     quotes them), the rest is spliced in.
+
+    A repeat call hashes nothing: finished digests are memoised (at
+    most :data:`CELL_KEY_MEMO_CAP`, oldest evicted first) under the
+    inputs, with the cluster and the current ``DEFAULT_COSTS`` and
+    ``MILD_NOISE`` objects by identity (each is frozen, and rebinding a
+    default to a retuned object misses), the placement by
+    :func:`placement_signature`, ``costs`` and ``faults`` by value, and
+    the three integers by value and type (``2`` and ``2.0`` encode
+    differently).
     """
+    signature = placement_signature(placement)
+    memo_key = (
+        workload_fp, id(cluster), approach, inter, intra,
+        nodes, ppn, seed, type(nodes), type(ppn), type(seed),
+        costs, signature, faults, id(DEFAULT_COSTS), id(MILD_NOISE),
+    )
+    entry = _CELL_KEYS.get(memo_key)
+    if entry is not None and entry[0] is cluster:
+        return entry[3]
     costs_to_faults, placement_to_workload = _sweep_json(
-        workload_fp, ppn, seed, costs, placement_signature(placement), faults,
+        workload_fp, ppn, seed, costs, signature, faults,
     )
     payload = (
         f'{{"approach":{_quote(approach)},"cluster":{_cluster_json(cluster)},'
         f'{costs_to_faults},"inter":{_quote(inter)},"intra":{_quote(intra)},'
         f'{_models_json()},"nodes":{nodes},{placement_to_workload}}}'
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    _remember(
+        _CELL_KEYS, CELL_KEY_MEMO_CAP, memo_key,
+        (cluster, DEFAULT_COSTS, MILD_NOISE, digest),
+    )
+    return digest
 
 
 #: most cache files whose last valid read :meth:`CellCache.get` keeps
@@ -334,11 +369,12 @@ class CellCache:
 
     def __init__(self, root: str, reap_age_s: float = REAP_AGE_S):
         self.root = root
-        if os.path.exists(root) and not os.path.isdir(root):
-            raise NotADirectoryError(
-                f"cell cache path {root!r} exists and is not a directory"
-            )
-        os.makedirs(root, exist_ok=True)
+        if not os.path.isdir(root):  # one stat when the root exists
+            if os.path.exists(root):
+                raise NotADirectoryError(
+                    f"cell cache path {root!r} exists and is not a directory"
+                )
+            os.makedirs(root, exist_ok=True)
         self._prefix = os.path.join(root, "")
         self.hits = 0
         self.misses = 0
@@ -416,8 +452,6 @@ class CellCache:
         decode to an equal cell, and a cell is frozen, so it is safe to
         share.  Any other bytes take the full decode and checks below.
         """
-        from repro.experiments.harness import Cell
-
         path = self._path(key)
         try:
             raw = _read_file(path)
@@ -431,8 +465,11 @@ class CellCache:
             return None
         memo = _READ_MEMO.get(path)
         if memo is not None and memo[0] == raw:
-            self._count("hits")
+            with self._stats_lock:
+                self.hits += 1
             return memo[1]
+        from repro.experiments.harness import Cell
+
         try:
             payload = json.loads(raw.decode("utf-8"))
         except (json.JSONDecodeError, UnicodeDecodeError):

@@ -198,7 +198,6 @@ def test_block_placement_layout():
     assert placement.node_of(2) == 1
     assert placement.core_of(3) == 1
     assert placement.ranks_on_node(2) == [4, 5]
-    assert placement.node_leaders() == [0, 2, 4]
     assert placement.local_rank(3) == 1
 
 

@@ -13,7 +13,7 @@ from repro.core import (
     unroll,
     verify_schedule,
 )
-from repro.core.chunking import Chunk, ScheduleError, chunk_sizes
+from repro.core.chunking import Chunk, ScheduleError
 from repro.core.techniques import (
     INTEL_OPENMP_SUPPORTED,
     PAPER_TECHNIQUES,
@@ -492,11 +492,6 @@ def test_verify_schedule_detects_short_coverage():
 def test_verify_schedule_accepts_out_of_order():
     chunks = [Chunk(1, 5, 5), Chunk(0, 0, 5)]
     verify_schedule(chunks, 10)
-
-
-def test_chunk_sizes_in_step_order():
-    chunks = [Chunk(1, 5, 5), Chunk(0, 0, 5)]
-    assert chunk_sizes(chunks) == [5, 5]
 
 
 # ---------------------------------------------------------------------------
