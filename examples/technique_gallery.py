@@ -9,8 +9,6 @@ of their load-balancing quality on an imbalanced workload.
 Run:  python examples/technique_gallery.py
 """
 
-import numpy as np
-
 from repro import minihpc, run_hierarchical
 from repro.core import IterationProfile, TECHNIQUES, unroll
 from repro.workloads import mandelbrot_workload
@@ -21,9 +19,7 @@ PROFILE = IterationProfile(mu=1e-3, sigma=0.4e-3)
 
 def sequence_of(name: str):
     technique = TECHNIQUES[name]
-    calc = technique.make(
-        N, P, profile=PROFILE, weights=None, rng=np.random.default_rng(0)
-    )
+    calc = technique.make(N, P, profile=PROFILE, weights=None)
     return [c.size for c in unroll(calc)]
 
 

@@ -15,6 +15,8 @@ This package holds the paper's primary contribution in reusable form:
   from observed chunk-fetch wait and iteration-time CoV.
 * :mod:`repro.core.hierarchy` — two-level (inter-node x intra-node)
   scheduling composition used by the execution models.
+* :mod:`repro.core.workqueue` — the tier-queue protocol every engine
+  carves through: the sub-chunk carve, deposit, take and refill.
 * :mod:`repro.core.metrics` — parallel time, load-imbalance and
   overhead metrics.
 * :mod:`repro.core.trace` — execution traces and ASCII Gantt charts

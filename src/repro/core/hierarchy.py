@@ -35,8 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.core.technique_base import ChunkCalculator, IterationProfile, Technique
 from repro.core.techniques import get_technique
 
@@ -62,8 +60,7 @@ class LevelSpec:
         return cls(technique=technique, **kwargs)
 
     def make_calculator(
-        self, n: int, p: int, rng: Optional[np.random.Generator] = None,
-        chunk_overhead: Optional[float] = None,
+        self, n: int, p: int, chunk_overhead: Optional[float] = None
     ) -> ChunkCalculator:
         """A fresh calculator carving ``n`` iterations over ``p`` PEs,
         clamped from below when the level sets ``min_chunk``."""
@@ -72,7 +69,6 @@ class LevelSpec:
             p,
             weights=self.weights,
             profile=self.profile,
-            rng=rng,
             chunk_overhead=chunk_overhead,
         )
         if self.min_chunk > 1:

@@ -328,7 +328,6 @@ class Technique:
         *,
         weights: Optional[Sequence[float]] = None,
         profile: Optional[IterationProfile] = None,
-        rng: Optional[np.random.Generator] = None,
         chunk_overhead: Optional[float] = None,
     ) -> ChunkCalculator:
         """Create a calculator for a loop of ``n`` iterations on ``p`` PEs."""

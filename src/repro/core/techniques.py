@@ -711,12 +711,10 @@ class Rnd(Technique):
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
 
-    def make(self, n, p, *, seed=None, rng=None, **kwargs):
+    def make(self, n, p, *, seed=None, **kwargs):
         """An RND sequence drawn from ``seed`` (default: the instance's)."""
-        # ``rng`` is accepted (execution models pass their per-stream
-        # generator to every level) but deliberately unused: the
-        # sequence must derive from the spec alone so every rank — and
-        # the dCC flattener — computes the identical schedule.
+        # the sequence derives from the spec alone, so every rank — and
+        # the dCC flattener — computes the identical schedule
         return _RndCalculator(
             self.name, n, p, self.seed if seed is None else seed
         )

@@ -46,6 +46,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.core.technique_base import ChunkCalculator
+from repro.core.workqueue import WorkChunk
 from repro.models.base import _Run
 from repro.models.mpi_mpi import MpiMpiModel
 from repro.smpi.world import MpiWorld
@@ -140,7 +141,6 @@ def _flatten_schedule(run: _Run, world: MpiWorld) -> List[Tuple[int, int]]:
     segments: List[Tuple[int, int]] = [(0, run.workload.n)]
     for index, fanout in enumerate(fanouts):
         level = run.spec.levels[index]
-        rng = run.sim.rng(f"dcc-rnd.l{index}")
         #: parent size -> its carving as a list of chunk sizes; every
         #: technique here is deterministic, so equal parents carve alike
         pieces: Dict[int, List[int]] = {}
@@ -149,7 +149,7 @@ def _flatten_schedule(run: _Run, world: MpiWorld) -> List[Tuple[int, int]]:
             sizes = pieces.get(size)
             if sizes is None:
                 sizes = pieces[size] = _carve(
-                    level, index, size, fanout, rng, run.costs.chunk_calc
+                    level, index, size, fanout, run.costs.chunk_calc
                 )
             offset = start
             for chunk in sizes:
@@ -160,34 +160,28 @@ def _flatten_schedule(run: _Run, world: MpiWorld) -> List[Tuple[int, int]]:
 
 
 def _carve(
-    level, index: int, size: int, fanout: int, rng, chunk_overhead: float
+    level, index: int, size: int, fanout: int, chunk_overhead: float
 ) -> List[int]:
     """Chunk sizes of one ``size``-iteration parent chunk at scheduling
     level ``index`` with ``fanout`` children."""
-    calc = level.make_calculator(
-        size, fanout, rng=rng, chunk_overhead=chunk_overhead
-    )
+    calc = level.make_calculator(size, fanout, chunk_overhead=chunk_overhead)
     if not calc.deterministic:
         raise ValueError(
             f"dcc requires deterministic chunk sequences; "
             f"{level.technique.name!r} at level {index} is not"
         )
-    # Sequential size_at unroll rather than calc.sequence():
-    # min-chunk wrapped calculators are consumed step by step.
+    # Sequential carve rather than calc.sequence(): min-chunk wrapped
+    # calculators are consumed step by step.
+    chunk = WorkChunk(0, size, calc)
     sizes: List[int] = []
-    left = size
-    step = 0
-    while left > 0:
-        nominal = calc.size_at(step)
-        if nominal <= 0:
+    while chunk.remaining > 0:
+        sub = chunk.carve(None)
+        if sub is None:
             raise ValueError(
-                f"{level.technique.name!r} returned size {nominal} "
-                f"at step {step} with {left} iterations left"
+                f"{level.technique.name!r} refused a chunk at step "
+                f"{chunk.local_step} with {chunk.remaining} iterations left"
             )
-        chunk = min(nominal, left)
-        sizes.append(chunk)
-        left -= chunk
-        step += 1
+        sizes.append(sub[1])
     return sizes
 
 

@@ -68,7 +68,6 @@ class MasterWorkerModel(ExecutionModel):
         calc = run.spec.inter.make_calculator(
             run.workload.n,
             n_workers,
-            rng=run.sim.rng("inter-rnd"),
             chunk_overhead=run.costs.chunk_calc,
         )
         n = run.workload.n

@@ -56,11 +56,11 @@ local, socket or NUMA rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import trace as trace_mod
 from repro.core.technique_base import ChunkCalculator
+from repro.core.workqueue import TierQueue, WorkChunk
 from repro.models.base import ExecutionModel, GlobalQueue, _Run, run_world
 from repro.sim.primitives import ComputeOnce, Overhead, Timeout
 from repro.smpi.shm import SharedWindow
@@ -71,39 +71,18 @@ from repro.smpi.world import MpiWorld, RankCtx
 MAX_LEVELS = 4
 
 
-@dataclass
-class _QueuedChunk:
-    """One deposited chunk in a tier's local work queue."""
+class _LocalQueue(TierQueue):
+    """One tier group's work queue in a shared-memory window.
 
-    #: scheduling step of the *parent* level that carved this chunk
-    src_step: int
-    start: int
-    size: int
-    taken: int = 0
-    local_step: int = 0
-    calc: Optional[ChunkCalculator] = None
-    #: listening chain: the (calculator, pe) pairs from the immediate
-    #: parent up to the global queue whose calculator listens to
-    #: runtime feedback (built at deposit time)
-    ancestors: Tuple[Tuple[ChunkCalculator, int], ...] = ()
-
-    @property
-    def remaining(self) -> int:
-        return self.size - self.taken
-
-
-class _LocalQueue:
-    """Python-side view of one tier group's shared-memory work queue.
-
-    All mutating methods must be called while the caller holds the
-    shared window's lock; the simulated access costs are charged by
-    the caller through ``SharedWindow.access``.
-
-    ``parent`` is the queue one tier up (None when the parent is the
-    global RMA queue); ``parent_pe`` is this queue's child index within
-    its parent (the node index at tier 1, the socket's position within
-    its node at tier 2, the NUMA domain's position within its socket at
-    tier 3) — the ``pe`` argument for PE-dependent parent techniques.
+    All methods must be called while the caller holds the window's
+    lock; the simulated access costs are charged by the caller through
+    ``SharedWindow.access``.  ``level`` indexes ``spec.levels`` (the
+    technique carving deposits); ``parent`` is None when the parent is
+    the global RMA queue, and ``parent_pe`` is this queue's child index
+    within its parent (the node index at tier 1, the socket's position
+    within its node at tier 2, the NUMA domain's position within its
+    socket at tier 3) — the ``pe`` argument for PE-dependent parent
+    techniques.
     """
 
     def __init__(
@@ -112,85 +91,27 @@ class _LocalQueue:
         level: int,
         n_children: int,
         shm: SharedWindow,
-        rng_stream: str,
         parent: "Optional[_LocalQueue]",
         parent_pe: int,
         global_queue: Optional[GlobalQueue] = None,
     ):
-        self.run = run
-        #: index into ``spec.levels`` of the technique carving deposits
+        super().__init__(
+            run.spec.levels[level], n_children, parent, parent_pe,
+            chunk_overhead=run.costs.chunk_calc,
+        )
         self.level = level
-        self.n_children = n_children
         self.shm = shm
-        self.rng_stream = rng_stream
-        self.parent = parent
-        self.parent_pe = parent_pe
         self.global_queue = global_queue
-        # "no refill will ever arrive again" flag; named after the
-        # two-level implementation where the only parent was the global
-        # queue, and kept for window-layout compatibility
-        shm.cells.setdefault("global_done", 0)
-        self.ranges: List[_QueuedChunk] = []
-        shm.state["queue"] = self.ranges  # visible to tests/inspection
         #: ADAPT calculators this queue instantiated (selector reporting)
         self.adaptive_calcs: List[ChunkCalculator] = []
 
-    def deposit(
-        self,
-        src_step: int,
-        start: int,
-        size: int,
-        ancestors: Tuple[Tuple[ChunkCalculator, int], ...],
-    ) -> None:
-        """Queue a chunk carved by the parent level.
-
-        ``ancestors`` is the chunk's feedback chain, immediate parent
-        first; only its listening calculators are kept, so a worker's
-        per-chunk feedback loop visits no calculator that ignores it.
-        """
-        ancestors = tuple(link for link in ancestors if link[0].listens)
-        calc = self.run.spec.levels[self.level].make_calculator(
-            size,
-            self.n_children,
-            rng=self.run.sim.rng(self.rng_stream),
-            chunk_overhead=self.run.costs.chunk_calc,
-        )
-        if hasattr(calc, "mode_history"):  # ADAPT selector bookkeeping
-            self.adaptive_calcs.append(calc)
-        self.ranges.append(
-            _QueuedChunk(
-                src_step=src_step,
-                start=start,
-                size=size,
-                calc=calc,
-                ancestors=ancestors,
-            )
-        )
-
-    def take(self, child: int):
-        """Take the next sub-chunk, or None if the queue is dry.
-
-        Returns ``(head, start, size, step)`` — ``step`` is captured
-        here, under the caller's lock, because ``head.local_step`` keeps
-        advancing once the lock is released (another child may take from
-        the same head while the caller is still in its unlock/sync
-        yields).
-        """
-        while self.ranges:
-            head = self.ranges[0]
-            step = head.local_step
-            remaining = head.size - head.taken
-            size = min(head.calc.size_at(step, pe=child), remaining)
-            if size <= 0:
-                self.ranges.pop(0)
-                continue
-            sub_start = head.start + head.taken
-            head.taken += size
-            head.local_step += 1
-            if size == remaining:
-                self.ranges.pop(0)
-            return head, sub_start, size, step
-        return None
+    def deposit(self, src_step, start, size, ancestors=()) -> WorkChunk:
+        """Queue a chunk (see :meth:`TierQueue.deposit`), noting an ADAPT
+        calculator for the selector ledgers."""
+        chunk = super().deposit(src_step, start, size, ancestors)
+        if hasattr(chunk.calc, "mode_history"):
+            self.adaptive_calcs.append(chunk.calc)
+        return chunk
 
 
 def _queue_key_order(key) -> Tuple:
@@ -310,7 +231,6 @@ class MpiMpiModel(ExecutionModel):
         return run.spec.inter.make_calculator(
             run.workload.n,
             world.size if self._tiers(run) == 1 else run.cluster.n_nodes,
-            rng=run.sim.rng("inter-rnd"),
             chunk_overhead=run.costs.chunk_calc,
         )
 
@@ -445,7 +365,6 @@ class MpiMpiModel(ExecutionModel):
                 level=1,
                 n_children=n_children,
                 shm=world.create_shared_window(node, {}, home_rank=home_of(node)),
-                rng_stream=f"intra-rnd.n{node}",
                 parent=None,
                 parent_pe=node,
                 global_queue=queue,
@@ -463,7 +382,6 @@ class MpiMpiModel(ExecutionModel):
                     shm=world.create_shared_window(
                         (node, socket), {}, home_rank=home_of((node, socket))
                     ),
-                    rng_stream=f"intra-rnd.n{node}.s{socket}",
                     parent=local_queues[node],
                     parent_pe=position,
                 )
@@ -480,7 +398,6 @@ class MpiMpiModel(ExecutionModel):
                             {},
                             home_rank=home_of((node, socket, numa)),
                         ),
-                        rng_stream=f"intra-rnd.n{node}.s{socket}.m{numa}",
                         parent=local_queues[(node, socket)],
                         parent_pe=numa_position,
                     )
@@ -525,14 +442,14 @@ class MpiMpiModel(ExecutionModel):
         return found
 
     def _reopen(self, local_queues: Dict[object, _LocalQueue], key) -> None:
-        """Clear ``global_done`` on ``key``'s queue and all descendants.
+        """Clear ``drained`` on ``key``'s queue and all descendants.
 
         Always called *after* the re-deposit: pollers check the queue
         contents before the drained flag, so a concurrent refill
         re-marking the flag can never hide the deposited work.
         """
         for other in self._descendant_keys(local_queues, key):
-            local_queues[other].shm.cells["global_done"] = 0
+            local_queues[other].drained = False
 
     def _nearest_live_queue(
         self,
@@ -610,13 +527,7 @@ class MpiMpiModel(ExecutionModel):
                 members = self._group_ranks(world, key)
                 if any(world.rank_alive(r) for r in members):
                     continue
-                for qc in lq.ranges:
-                    if qc.remaining > 0:
-                        stranded.append(
-                            (qc.src_step, qc.start + qc.taken, qc.remaining)
-                        )
-                # in-place clear: the list is aliased by shm.state["queue"]
-                lq.ranges.clear()
+                stranded.extend(lq.strand())
                 if (
                     isinstance(key, int)
                     and queue.pinned
@@ -656,7 +567,10 @@ class MpiMpiModel(ExecutionModel):
         window lock across the parent fetch (paper Fig. 1 steps 1-2):
         other local processes keep polling the lock meanwhile instead of
         waiting for a designated coordinator.  The parent fetch recurses
-        through the tier queues up to the global RMA queue.
+        through the tier queues up to the global RMA queue.  Taking,
+        refilling and the drained flag are the shared
+        :class:`~repro.core.workqueue.TierQueue` steps; this frame adds
+        the window epoch, its pricing and the claims ledger.
 
         The window epoch is spelled out step by step (see
         :class:`~repro.smpi.shm.SharedWindow`): each step returns its
@@ -681,7 +595,7 @@ class MpiMpiModel(ExecutionModel):
                 shm.release(ctx)
                 yield shm.sync(ctx)
                 return sub
-            if shm.cells["global_done"]:
+            if q.drained:
                 yield shm.unlock(ctx)
                 shm.release(ctx)
                 return None
@@ -702,19 +616,16 @@ class MpiMpiModel(ExecutionModel):
                     head, start, size, step = parent_sub
                     ancestors = ((head.calc, q.parent_pe), *head.ancestors)
             yield shm.access(ctx, 3)
+            sub = q.refill(child, step, start, size, ancestors)
             if size > 0:
-                q.deposit(step, start, size, ancestors)
                 if run.faults_active:
                     # ownership moved from this rank's claim into the
                     # queue (whole-group adoption covers the queue from
                     # here on)
                     run.release_claim(ctx.rank, step, start, size)
+                    if sub is not None:
+                        run.claim(ctx.rank, sub[3], sub[1], sub[2])
                 run.record_level_chunk(q.level - 1, step, start, size, q.parent_pe)
-                sub = q.take(child)
-                if sub is not None and run.faults_active:
-                    run.claim(ctx.rank, sub[3], sub[1], sub[2])
-            else:
-                shm.cells["global_done"] = 1
             yield shm.unlock(ctx)
             shm.release(ctx)
             yield shm.sync(ctx)
@@ -753,7 +664,7 @@ class MpiMpiModel(ExecutionModel):
                     break
                 # Failure-aware termination: the tier tree looks drained,
                 # but a dead rank's reclaimed chunks may still be
-                # re-deposited (the recovery clears ``global_done`` on
+                # re-deposited (the recovery clears ``drained`` on
                 # the target queue and its descendants).  Poll until
                 # every iteration is accounted for somewhere.
                 yield Timeout(run.costs.mpi.shm_poll_interval)

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.cluster.interconnect import Tier, tier_between
-from repro.core.technique_base import ChunkCalculator
+from repro.core.workqueue import WorkChunk
 from repro.models.base import ExecutionModel, GlobalQueue, _Run
 from repro.sim.primitives import Overhead, SimEvent
 from repro.sim.resources import Barrier
@@ -57,8 +57,6 @@ class _Nesting(NamedTuple):
     letter: str
     #: locality tier the children's barrier spans
     span: Tier
-    #: RNG-stream prefix of the chunk calculator carving across children
-    rng_prefix: str
     #: barrier-name prefix
     barrier_prefix: str
     #: counter of worksharing rounds opened across the children
@@ -67,8 +65,8 @@ class _Nesting(NamedTuple):
 
 #: the nesting tiers below the node, outermost first
 _NESTING = (
-    _Nesting("s", Tier.SAME_NODE, "mid-rnd", "omp-outer", "omp_outer_rounds"),
-    _Nesting("m", Tier.SAME_SOCKET, "numa-rnd", "omp-inner", "omp_inner_rounds"),
+    _Nesting("s", Tier.SAME_NODE, "omp-outer", "omp_outer_rounds"),
+    _Nesting("m", Tier.SAME_SOCKET, "omp-inner", "omp_inner_rounds"),
 )
 
 
@@ -92,31 +90,6 @@ def _team_barrier_penalty(run: "_Run", node_spec, cores) -> float:
         for core in cores
     )
     return run.costs.mpi.tier_atomic_penalty(tier)
-
-
-@dataclass
-class _Round:
-    """One chunk being carved across a group's children."""
-
-    start: int
-    size: int
-    calc: ChunkCalculator
-    counter: int = 0
-    scheduled: int = 0
-
-    def grab(self, child_pos: int):
-        """Self-scheduled grab: (step, abs_start, size) or None."""
-        remaining = self.size - self.scheduled
-        if remaining <= 0:
-            return None
-        size = self.calc.size_at(self.counter, pe=child_pos)
-        if size <= 0:
-            return None
-        size = min(size, remaining)
-        out = (self.counter, self.start + self.scheduled, size)
-        self.scheduled += size
-        self.counter += 1
-        return out
 
 
 @dataclass
@@ -188,7 +161,6 @@ class MpiOpenMpModel(ExecutionModel):
         inter_calc = run.spec.inter.make_calculator(
             run.workload.n,
             run.cluster.n_nodes,
-            rng=sim.rng("inter-rnd"),
             chunk_overhead=costs.chunk_calc,
         )
         queue = GlobalQueue(
@@ -230,7 +202,6 @@ class MpiOpenMpModel(ExecutionModel):
                         costs,
                         name=name,
                         weights=None,
-                        rng=sim.rng(f"omp-rnd.{name}"),
                         trace=run.trace,
                         barrier_penalty=_team_barrier_penalty(run, node_spec, cores),
                     )
@@ -269,13 +240,13 @@ class MpiOpenMpModel(ExecutionModel):
                         start, size, omp_spec, group.body_time
                     )
                     return
-                calc = run.spec.levels[group.tier + 1].make_calculator(
+                round_ = WorkChunk(
+                    start,
                     size,
-                    len(group.children),
-                    rng=sim.rng(f"{nesting[group.tier].rng_prefix}.{group.name}"),
-                    chunk_overhead=costs.chunk_calc,
+                    run.spec.levels[group.tier + 1].make_calculator(
+                        size, len(group.children), chunk_overhead=costs.chunk_calc
+                    ),
                 )
-                round_ = _Round(start=start, size=size, calc=calc)
                 group.rounds += 1
                 rounds[group.tier] += 1
                 gate, group.gate = group.gate, sim.event(
@@ -284,15 +255,15 @@ class MpiOpenMpModel(ExecutionModel):
                 gate.trigger(round_)
                 yield from drive(group, 0, round_)
 
-            def drive(group: _Group, pos: int, round_: _Round):
+            def drive(group: _Group, pos: int, round_: WorkChunk):
                 """Child ``pos``'s self-scheduled share of one round."""
                 child = group.children[pos]
                 while True:
                     yield Overhead(grab_cost)
-                    grabbed = round_.grab(pos)
+                    grabbed = round_.carve(pos)
                     if grabbed is None:
                         break
-                    step, sub_start, sub_size = grabbed
+                    sub_start, sub_size, step = grabbed
                     run.record_level_chunk(
                         group.tier + 1, step, sub_start, sub_size, pe=pos
                     )

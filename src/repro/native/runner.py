@@ -21,8 +21,13 @@ exactly as :class:`repro.models.MpiMpiModel` maps it, so properties
 proven in the simulator transfer to real threaded runs of the same
 stack.
 
-Every grab goes through the same :class:`ChunkCalculator` objects the
-simulator uses, so schedule correctness properties proven in the
+Every grab goes through the code the simulator runs: the root is one
+:class:`~repro.core.workqueue.WorkChunk` over ``[0, n)`` behind a
+``threading.Lock``, and every tier queue is a
+:class:`~repro.core.workqueue.TierQueue` whose carve, refill and
+drained flag are the simulator's own.  The runner adds only the
+threading locks, the per-worker lock-acquisition ledger and the
+deposit log, so schedule correctness properties proven in the
 simulator transfer to real executions.
 
 Unit convention: ``wall_seconds`` and per-worker busy times are host
@@ -40,13 +45,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.cluster.costs import CostModel, DEFAULT_COSTS
 from repro.cluster.interconnect import Tier, tier_between
 from repro.cluster.machine import ClusterSpec, NodeSpec
 from repro.core.chunking import ChunkLog, verify_schedule
 from repro.core.hierarchy import HierarchicalSpec, LevelSpec
+from repro.core.workqueue import TierQueue, WorkChunk
 from repro.workloads.base import Workload
 
 #: a leaf/interior tier-group key: the machine path of the group, e.g.
@@ -120,90 +124,30 @@ class NativeResult:
         verify_schedule(self.chunks, n)
 
 
-class _GlobalQueue:
-    """Lock-protected (calculator, step, scheduled) triple."""
+def _root_carver(calc, n: int):
+    """The root queue — one chunk over ``[0, n)`` behind a
+    ``threading.Lock`` — as its locked carve ``pe -> (start, size,
+    step) | None``."""
+    root, lock = WorkChunk(0, n, calc), threading.Lock()
 
-    def __init__(self, calc, n: int):
-        self.calc = calc
-        self.n = n
-        self.step = 0
-        self.scheduled = 0
+    def carve(pe: int) -> Optional[Tuple[int, int, int]]:
+        with lock:
+            return root.carve(pe)
+
+    return carve
+
+
+class _ThreadQueue(TierQueue):
+    """A tier queue behind its own lock (the per-tier ``MPI_Win_lock``
+    analogue), with the ledgers the result reports."""
+
+    def __init__(self, spec: LevelSpec, n_children: int, parent, parent_pe: int):
+        super().__init__(spec, n_children, parent, parent_pe)
         self.lock = threading.Lock()
-
-    def next_chunk(self, pe: int) -> Optional[Tuple[int, int, int]]:
-        with self.lock:
-            if self.scheduled >= self.n:
-                return None
-            size = self.calc.size_at(self.step, pe=pe)
-            if size <= 0:
-                return None
-            size = min(size, self.n - self.scheduled)
-            out = (self.step, self.scheduled, size)
-            self.step += 1
-            self.scheduled += size
-            return out
-
-
-class _LocalQueue:
-    """Per-group queue: the shared-memory local work queue analogue.
-
-    ``parent``/``parent_pe`` wire tier queues into a refill tree —
-    ``parent`` is the queue one machine tier up (None when the parent
-    is the global queue) and ``parent_pe`` this queue's child index
-    within it, exactly like the simulator's ``_LocalQueue``.  Each
-    queue owns its own lock (the per-tier ``MPI_Win_lock`` analogue)
-    and logs its deposits for the group-containment tests.
-    """
-
-    def __init__(
-        self,
-        spec: LevelSpec,
-        group_size: int,
-        parent: "Optional[_LocalQueue]" = None,
-        parent_pe: int = 0,
-        key: Optional[GroupKey] = None,
-    ):
-        self.spec = spec
-        self.group_size = group_size
-        self.lock = threading.Lock()
-        self.ranges: List[Dict[str, Any]] = []
-        self.global_done = False
-        self.parent = parent
-        self.parent_pe = parent_pe
-        self.key = key
+        #: deposited ``(start, size)`` ranges, in deposit order
         self.deposits: List[Tuple[int, int]] = []
         #: worker pe -> times that worker acquired this queue's lock
         self.acquisitions: Dict[int, int] = {}
-
-    def deposit(self, start: int, size: int) -> None:
-        self.deposits.append((start, size))
-        self.ranges.append(
-            {
-                "start": start,
-                "size": size,
-                "taken": 0,
-                "step": 0,
-                "calc": self.spec.make_calculator(size, self.group_size),
-            }
-        )
-
-    def take(self, local_pe: int) -> Optional[Tuple[int, int]]:
-        while self.ranges:
-            head = self.ranges[0]
-            remaining = head["size"] - head["taken"]
-            if remaining <= 0:
-                self.ranges.pop(0)
-                continue
-            size = head["calc"].size_at(head["step"], pe=local_pe)
-            size = min(size, remaining)
-            if size <= 0:
-                self.ranges.pop(0)
-                continue
-            start = head["start"] + head["taken"]
-            head["taken"] += size
-            head["step"] += 1
-            return (start, size)
-        return None
 
 
 class NativeRunner:
@@ -229,18 +173,18 @@ class NativeRunner:
     # ------------------------------------------------------------------
     def run_flat(self, technique: "str | Any", **level_kwargs: Any) -> NativeResult:
         """Single-level self-scheduling across all workers."""
-        spec = LevelSpec.of(technique, **level_kwargs)
-        calc = spec.make_calculator(
-            self.workload.n, self.n_workers, rng=np.random.default_rng(0)
+        n = self.workload.n
+        carve = _root_carver(
+            LevelSpec.of(technique, **level_kwargs).make_calculator(n, self.n_workers),
+            n,
         )
-        queue = _GlobalQueue(calc, self.workload.n)
 
         def worker_loop(pe: int, record) -> None:
             while True:
-                grabbed = queue.next_chunk(pe)
+                grabbed = carve(pe)
                 if grabbed is None:
                     return
-                step, start, size = grabbed
+                start, size, step = grabbed
                 record(pe, step, start, size)
 
         return self._execute("flat", worker_loop)
@@ -309,11 +253,11 @@ class NativeRunner:
         for worker, path in enumerate(slots):
             leaf_members.setdefault(path[n_tiers - 1], []).append(worker)
 
-        inter_calc = spec.inter.make_calculator(
-            self.workload.n, len(tier_keys[0]), rng=np.random.default_rng(0)
+        carve_root = _root_carver(
+            spec.inter.make_calculator(self.workload.n, len(tier_keys[0])),
+            self.workload.n,
         )
-        queue = _GlobalQueue(inter_calc, self.workload.n)
-        queues: Dict[GroupKey, _LocalQueue] = {}
+        queues: Dict[GroupKey, _ThreadQueue] = {}
         for tier, keys in enumerate(tier_keys):
             for key in keys:
                 if tier + 1 < n_tiers:
@@ -325,23 +269,21 @@ class NativeRunner:
                 else:
                     n_children = len(leaf_members[key])
                 siblings = [k for k in keys if k[:-1] == key[:-1]]
-                queues[key] = _LocalQueue(
+                queues[key] = _ThreadQueue(
                     spec.levels[tier + 1],
                     n_children,
                     parent=queues[key[:-1]] if tier > 0 else None,
                     parent_pe=siblings.index(key),
-                    key=key,
                 )
 
         def worker_loop(pe: int, record) -> None:
-            leaf = queues[slots[pe][n_tiers - 1]]
-            child = leaf_members[leaf.key].index(pe)
+            key = slots[pe][n_tiers - 1]
+            leaf, child = queues[key], leaf_members[key].index(pe)
             while True:
-                sub = self._take_tiered(leaf, queue, child, worker=pe)
+                sub = self._take_tiered(leaf, carve_root, child, worker=pe)
                 if sub is None:
                     return
-                start, size = sub
-                record(pe, -1, start, size)
+                record(pe, -1, sub[1], sub[2])
 
         result = self._execute("hierarchical", worker_loop)
         result.groups = {key: list(v) for key, v in leaf_members.items()}
@@ -484,42 +426,35 @@ class NativeRunner:
         )
 
     def _take_tiered(
-        self, q: _LocalQueue, global_queue: _GlobalQueue, child: int,
-        worker: int,
-    ) -> Optional[Tuple[int, int]]:
+        self, q: _ThreadQueue, carve_root, child: int, worker: int
+    ) -> Optional[Tuple[Any, int, int, int]]:
         """Take from ``q``, refilling through the tier tree when dry.
 
         The caller-side analogue of the simulator's ``_take_from``: the
         worker holds ``q``'s lock across the parent fetch (paper Fig. 1
         steps 1-2), and the parent fetch recurses — acquiring the
-        parent's own lock — up to the global queue.  Lock order is
-        strictly child -> parent, so the tiered locks cannot deadlock.
-        ``worker`` identifies the physical worker for the per-queue
-        lock-acquisition ledger (the simulated-cost report).
+        parent's own lock — up to the root's ``carve_root``.  Lock order
+        is strictly child -> parent, so the tiered locks cannot
+        deadlock.  ``worker`` identifies the physical worker for the
+        per-queue lock-acquisition ledger (the simulated-cost report).
         """
         with q.lock:
             q.acquisitions[worker] = q.acquisitions.get(worker, 0) + 1
-            while True:
-                sub = q.take(child)
-                if sub is not None:
-                    return sub
-                if q.global_done:
-                    return None
+            sub = q.take(child)
+            while sub is None and not q.drained:
                 if q.parent is None:
-                    grabbed = global_queue.next_chunk(q.parent_pe)
-                    if grabbed is None:
-                        q.global_done = True
-                        return None
-                    _step, start, size = grabbed
+                    fetched = carve_root(q.parent_pe)
                 else:
-                    parent_sub = self._take_tiered(
-                        q.parent, global_queue, q.parent_pe, worker
+                    fetched = self._take_tiered(
+                        q.parent, carve_root, q.parent_pe, worker
                     )
-                    if parent_sub is None:
-                        q.global_done = True
-                        return None
-                    start, size = parent_sub
-                q.deposit(start, size)
+                # the root carves (start, size, step), a tier queue
+                # takes (head, start, size, step)
+                start, size, step = fetched[-3:] if fetched else (0, 0, -1)
+                if size > 0:
+                    q.deposits.append((start, size))
+                sub = q.refill(child, step, start, size)
+            return sub
 
     # ------------------------------------------------------------------
     def _execute(self, mode: str, worker_loop) -> NativeResult:

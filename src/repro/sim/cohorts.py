@@ -398,7 +398,9 @@ def _run_depth2(run, queue, local_queues, ranks: List[_Rank]) -> None:
     ``_worker_loop`` as macro events: lock polling (fast-forwarded
     cohorts), critical sections, global refills through the serialised
     RMA unit, deposits, takes and compute — anchored at the simulated
-    seconds the scalar events would land.
+    seconds the scalar events would land.  The takes, refills and the
+    drained flag are the scalar engine's own
+    :class:`~repro.core.workqueue.TierQueue` steps.
     """
     mpi = run.costs.mpi
     A = mpi.shm_lock_attempt  # per-attempt message cost (seconds)
@@ -505,7 +507,7 @@ def _run_depth2(run, queue, local_queues, ranks: List[_Rank]) -> None:
             if sub is not None:
                 state.overhead_time += U
                 lane.schedule(now + U, now, _M_UNLOCK_TAKEN, (state, sub))
-            elif lq.shm.cells["global_done"]:
+            elif lq.drained:
                 state.overhead_time += U
                 lane.schedule(now + U, now, _M_UNLOCK_EXIT, state)
             else:  # this rank is currently the fastest: refill
@@ -538,16 +540,14 @@ def _run_depth2(run, queue, local_queues, ranks: List[_Rank]) -> None:
             lane.schedule(now + ACC3, now, _M_DEPOSIT, (state, resolved))
         elif code == _M_DEPOSIT:
             state, (step, start, size) = payload
-            lq = local_queues[state.node]
+            sub = local_queues[state.node].refill(
+                state.child, step, start, size, ((queue.calc, state.node),)
+            )
+            state.overhead_time += U
             if size > 0:
-                lq.deposit(step, start, size, ((queue.calc, state.node),))
                 run.record_level_chunk(0, step, start, size, state.node)
-                sub = lq.take(state.child)
-                state.overhead_time += U
                 lane.schedule(now + U, now, _M_UNLOCK_TAKEN, (state, sub))
             else:
-                lq.shm.cells["global_done"] = 1
-                state.overhead_time += U
                 lane.schedule(now + U, now, _M_UNLOCK_EMPTY, state)
         elif code == _M_UNLOCK_TAKEN:
             state, sub = payload

@@ -86,8 +86,8 @@ class OmpTeam:
         Full cost model (``omp`` table + ``chunk_calc``).
     name:
         Prefix for thread process names (e.g. ``"n3"`` -> ``"n3.t5"``).
-    weights / rng:
-        Only needed for the ``wf`` / ``random`` extension schedules.
+    weights:
+        Only needed for the ``wf`` extension schedule.
     trace:
         Optional :class:`repro.core.trace.Trace` to record Gantt data.
     barrier_penalty:
@@ -104,7 +104,6 @@ class OmpTeam:
         costs: CostModel,
         name: str = "team",
         weights: Optional[np.ndarray] = None,
-        rng: Optional[np.random.Generator] = None,
         trace: Optional[trace_mod.Trace] = None,
         barrier_penalty: float = 0.0,
     ):
@@ -116,7 +115,6 @@ class OmpTeam:
         self.barrier_penalty = barrier_penalty
         self.name = name
         self.weights = weights
-        self.rng = rng if rng is not None else sim.rng(f"omp-team.{name}")
         self.trace = trace
         self._gate = sim.event(f"{name}.phase0")
         self._phase_index = 0
@@ -248,7 +246,7 @@ class OmpTeam:
             "random": "RND",
         }[spec.kind]
         return get_technique(technique).make(
-            size, self.n_threads, weights=self.weights, rng=self.rng
+            size, self.n_threads, weights=self.weights
         )
 
     def _thread_main(self, tid: int):

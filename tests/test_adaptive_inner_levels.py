@@ -50,10 +50,10 @@ class _SpyLevelSpec(LevelSpec):
         self._log = log
         self.made = 0
 
-    def make_calculator(self, n, p, rng=None, chunk_overhead=None):
+    def make_calculator(self, n, p, chunk_overhead=None):
         self.made += 1
         return _SpyCalc(
-            super().make_calculator(n, p, rng=rng, chunk_overhead=chunk_overhead),
+            super().make_calculator(n, p, chunk_overhead=chunk_overhead),
             self._log,
         )
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.api import run_hierarchical
 from repro.cluster.machine import ClusterSpec, NodeSpec, homogeneous, minihpc
+from repro.cluster.noise import NO_NOISE
 from repro.core.hierarchy import HierarchicalSpec
 from repro.native import NativeRunner
 from repro.workloads import Workload, mandelbrot_workload
@@ -204,6 +205,25 @@ def test_topology_matches_flat_striping_when_degenerate(workload):
     assert sorted((c.start, c.size) for c in topo.chunks) == sorted(
         (c.start, c.size) for c in simulated.subchunks
     )
+
+
+@pytest.mark.parametrize("stack", ["FAC2+SS", "GSS+FAC2+SS", "TSS+GSS+FAC2+SS"])
+def test_single_worker_tier_tree_matches_the_simulator(stack):
+    """One worker on a one-core cluster runs the simulator's tier tree
+    range for range: every tier's deposits, in deposit order, are the
+    simulated run's chunks of that level, and the executed chunks its
+    sub-chunks."""
+    small = mandelbrot_workload(width=32, height=32, max_iter=32)
+    native = NativeRunner(small, n_workers=1).run_hierarchical(
+        HierarchicalSpec.parse(stack), topology=minihpc(1, 1)
+    )
+    simulated = run_hierarchical(small, minihpc(1, 1), stack, ppn=1, noise=NO_NOISE)
+    tiers = sorted(native.group_deposits.items(), key=lambda item: len(item[0]))
+    native_levels = [deposits for _key, deposits in tiers]
+    native_levels.append([(c.start, c.size) for c in native.chunks])
+    assert native_levels == [
+        [(c.start, c.size) for c in log] for log in simulated.level_chunks
+    ]
 
 
 def test_topology_simulated_lock_cost_reporting(workload):

@@ -6,7 +6,6 @@ every technique must produce a positive, exactly-covering, terminating
 chunk schedule.
 """
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,13 +29,12 @@ profiles = st.builds(
 )
 
 
-def make(name, n, p, profile=None, seed=0):
+def make(name, n, p, profile=None):
     return get_technique(name).make(
         n,
         p,
         profile=profile or IterationProfile(mu=1e-3, sigma=3e-4),
         weights=None,
-        rng=np.random.default_rng(seed),
     )
 
 

@@ -13,9 +13,9 @@ from repro.cluster.costs import CostModel
 from repro.cluster.machine import heterogeneous, homogeneous
 from repro.cluster.noise import HARSH_NOISE, NoiseModel
 from repro.core.chunking import verify_schedule
-from repro.models.mpi_mpi import _LocalQueue, _QueuedChunk
-from repro.sim import ProcessFailure, Simulator
-from repro.smpi import MpiWorld
+from repro.core.hierarchy import LevelSpec
+from repro.core.workqueue import TierQueue, WorkChunk
+from repro.sim import ProcessFailure
 from repro.workloads import (
     Workload,
     banded_workload,
@@ -151,30 +151,12 @@ def test_gigantic_lock_costs_slow_but_correct():
 
 
 # ---------------------------------------------------------------------------
-# local-queue unit behaviour
+# tier-queue unit behaviour (the queue every engine carves through)
 # ---------------------------------------------------------------------------
 
 
-class _FakeRun:
-    """Minimal stand-in for models.base._Run in _LocalQueue unit tests."""
-
-    def __init__(self, ppn=4):
-        from repro.core.hierarchy import HierarchicalSpec
-
-        self.spec = HierarchicalSpec.of("GSS", "GSS")
-        self.ppn = ppn
-        self.sim = Simulator()
-        self.costs = CostModel()
-
-
 def make_queue():
-    run = _FakeRun()
-    world = MpiWorld(run.sim, homogeneous(1, 4), ppn=4)
-    shm = world.create_shared_window(0, {})
-    return _LocalQueue(
-        run, level=1, n_children=run.ppn, shm=shm,
-        rng_stream="intra-rnd.n0", parent=None, parent_pe=0,
-    )
+    return TierQueue(LevelSpec.of("GSS"), n_children=4)
 
 
 def test_local_queue_take_from_empty():
@@ -212,10 +194,7 @@ def test_local_queue_multiple_deposits_fifo():
 def test_queued_chunk_remaining():
     from repro.core.techniques import get_technique
 
-    chunk = _QueuedChunk(
-        src_step=0, start=0, size=10,
-        calc=get_technique("SS").make(10, 2),
-    )
+    chunk = WorkChunk(0, 10, get_technique("SS").make(10, 2), src_step=0)
     assert chunk.remaining == 10
     chunk.taken = 4
     assert chunk.remaining == 6

@@ -15,7 +15,6 @@ configured ADAPT ladder instances:
   through ``run_hierarchical`` still produce a verified schedule.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,13 +53,9 @@ sizes = st.integers(min_value=0, max_value=4000)
 pes = st.integers(min_value=1, max_value=48)
 
 
-def make(name, n, p, seed=0):
+def make(name, n, p):
     return get_technique(name).make(
-        n,
-        p,
-        profile=IterationProfile(mu=1e-3, sigma=4e-4),
-        weights=None,
-        rng=np.random.default_rng(seed),
+        n, p, profile=IterationProfile(mu=1e-3, sigma=4e-4), weights=None
     )
 
 
