@@ -37,11 +37,11 @@ This module is the placement *optimizer*:
 
 All ranks in this module are **MPI ranks** (indices into the
 :class:`~repro.cluster.topology.Placement`), never node indices; window
-keys follow the shared-window convention of
-:meth:`repro.smpi.world.MpiWorld.create_shared_window` — a node index
-for per-node queues, ``(node, socket)`` / ``(node, socket, numa)``
-tuples for deeper tiers, plus the reserved string ``"global"``
-(:data:`GLOBAL_WINDOW`) for the global RMA queue.
+keys are the tier-group keys of
+:meth:`repro.cluster.topology.Placement.tier_groups` — the node index
+at tier 1, ``(node, socket)`` / ``(node, socket, numa)`` below it —
+plus the reserved string ``"global"`` (:data:`GLOBAL_WINDOW`) for the
+global RMA queue.  The profile recurses over that tree's children.
 
 See ``docs/PLACEMENT.md`` for the objective, a worked example and the
 calibration methodology behind ``CALIBRATED_COSTS``.
@@ -56,7 +56,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple, Union
 from repro.cluster.costs import CostModel, DEFAULT_COSTS
 from repro.cluster.interconnect import tier_between
 from repro.cluster.machine import ClusterSpec
-from repro.cluster.topology import Placement, block_placement
+from repro.cluster.topology import Placement, TierGroup, block_placement
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.hierarchy import HierarchicalSpec, LevelSpec
@@ -241,23 +241,14 @@ def predict_profile(
 
     # --- shared tier windows (node -> socket -> numa) -----------------
     mean_root_chunk = n_iterations / max(1.0, root_chunks)
+    groups = placement.tier_groups(depth)
     for node in range(cluster.n_nodes):
-        node_members = placement.ranks_on_node(node)
         if root.technique.pinned_per_pe:
             deposits = 1.0  # exactly the node's own pinned chunk
         else:
             deposits = root_chunks * node_shares[node]
         _profile_tier(
-            windows=windows,
-            spec=spec,
-            level=1,
-            key=node,
-            members=node_members,
-            placement=placement,
-            speeds=speeds,
-            deposits=deposits,
-            mean_chunk=mean_root_chunk,
-            depth=depth,
+            windows, spec, groups, groups[node], speeds, deposits, mean_root_chunk
         )
     return AccessProfile(windows=tuple(windows))
 
@@ -273,16 +264,13 @@ def _is_deterministic(level: "LevelSpec", n: int, p: int) -> bool:
 def _profile_tier(
     windows: List[WindowProfile],
     spec: "HierarchicalSpec",
-    level: int,
-    key: WindowKey,
-    members: List[int],
-    placement: Placement,
+    groups: Mapping[WindowKey, TierGroup],
+    group: TierGroup,
     speeds: List[float],
     deposits: float,
     mean_chunk: float,
-    depth: int,
 ) -> None:
-    """Recursively profile the queue at ``key`` and its child queues.
+    """Recursively profile ``group``'s queue and its child queues.
 
     ``deposits`` chunks of ``mean_chunk`` iterations each arrive in this
     queue over the run; the level's technique carves each into takes,
@@ -293,78 +281,38 @@ def _profile_tier(
     zero, so every window the execution model builds appears in the
     profile (explicit placement maps validate against it).
     """
-    if isinstance(key, int):  # node window
-        children = (
-            [
-                placement.ranks_on_socket(key, socket)
-                for socket in placement.sockets_on_node(key)
-            ]
-            if depth >= 3
-            else [[r] for r in members]
-        )
-        child_keys: List[WindowKey] = (
-            [(key, socket) for socket in placement.sockets_on_node(key)]
-            if depth >= 3
-            else []
-        )
-    elif len(key) == 2:  # socket window
-        children = (
-            [
-                placement.ranks_on_numa(key[0], key[1], numa)
-                for numa in placement.numas_on_socket(key[0], key[1])
-            ]
-            if depth >= 4
-            else [[r] for r in members]
-        )
-        child_keys = (
-            [(key[0], key[1], numa) for numa in placement.numas_on_socket(*key)]
-            if depth >= 4
-            else []
-        )
-    else:  # NUMA window: always a leaf
-        children = [[r] for r in members]
-        child_keys = []
-
+    children = [groups[key].members for key in group.children] or [
+        (rank,) for rank in group.members
+    ]
     takes_per_deposit = _chunk_count(
-        spec.levels[level], mean_chunk, len(children)
+        spec.levels[group.tier], mean_chunk, len(children)
     )
     total_takes = deposits * takes_per_deposit
-    child_weights = [sum(speeds[r] for r in group) for group in children]
+    child_weights = [sum(speeds[r] for r in members) for members in children]
     child_shares = _shares(child_weights)
 
     loads: Dict[int, float] = {}
     atomics: Dict[int, float] = {}
-    for group, share in zip(children, child_shares):
+    for members, share in zip(children, child_shares):
         group_takes = total_takes * share
-        member_shares = _shares([speeds[r] for r in group])
-        for rank, m_share in zip(group, member_shares):
+        member_shares = _shares([speeds[r] for r in members])
+        for rank, m_share in zip(members, member_shares):
             loads[rank] = loads.get(rank, 0.0) + group_takes * m_share * LOADS_PER_TAKE
             atomics[rank] = (
                 atomics.get(rank, 0.0) + group_takes * m_share * ATOMICS_PER_TAKE
             )
     windows.append(
         WindowProfile(
-            key=key, members=tuple(members), loads=loads, atomics=atomics
+            key=group.key, members=group.members, loads=loads, atomics=atomics
         )
     )
 
-    if child_keys:
-        mean_child = (
-            mean_chunk / takes_per_deposit if takes_per_deposit else 0.0
+    mean_child = mean_chunk / takes_per_deposit if takes_per_deposit else 0.0
+    for key, share in zip(group.children, child_shares):
+        _profile_tier(
+            windows, spec, groups, groups[key], speeds,
+            total_takes * share, mean_child,
         )
-        for child_key, group, share in zip(child_keys, children, child_shares):
-            _profile_tier(
-                windows=windows,
-                spec=spec,
-                level=level + 1,
-                key=child_key,
-                members=group,
-                placement=placement,
-                speeds=speeds,
-                deposits=total_takes * share,
-                mean_chunk=mean_child,
-                depth=depth,
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,13 @@ placement fills socket 0 before socket 1 — and NUMA domain 0 before
 NUMA domain 1 within each socket — and never splits a tier group
 between two non-adjacent rank ranges; consecutive ranks share sockets
 and NUMA domains exactly as ``--map-by core`` binds them on real
-hardware.  Multi-level scheduling stacks (node -> socket -> numa ->
-core) group ranks through :meth:`Placement.socket_of` /
-:meth:`Placement.ranks_on_socket` and the NUMA analogues
-:meth:`Placement.numa_of` / :meth:`Placement.ranks_on_numa`.
+hardware.
+
+Multi-level scheduling stacks (node -> socket -> numa -> core) walk one
+tree of tier groups, built by :func:`tier_groups` and memoised per
+stack depth by :meth:`Placement.tier_groups`: each group's key, member
+ranks, position under its parent and child groups are worked out there
+and nowhere else.
 
 Conventions: every query here takes or returns **MPI ranks** and
 machine coordinates (node index, socket within node, NUMA domain
@@ -32,10 +35,89 @@ costs (in seconds) live in :mod:`repro.cluster.costs`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.cluster.machine import ClusterSpec
+
+#: deepest scheduling stack the machine tiers carry:
+#: cluster -> node -> socket -> numa -> core
+MAX_DEPTH = 4
+
+
+@dataclass(frozen=True)
+class TierGroup:
+    """One tier group of a scheduling stack: the ranks sharing one
+    tier queue (the paper's local queue, one per node, socket or NUMA
+    domain), refilled from its parent group's queue.
+
+    ``tier`` counts from 1 (the groups below the global queue);
+    ``position`` is the group's index among its parent's children (the
+    node index at tier 1) — the ``pe`` the parent's technique sees.
+    ``children`` are the child group keys, empty at the leaf tier,
+    whose queues the member ranks take from directly.
+    """
+
+    key: Hashable
+    tier: int
+    members: Tuple[int, ...]
+    position: int
+    parent: Optional[Hashable]
+    children: Tuple[Hashable, ...]
+
+    @property
+    def fanout(self) -> int:
+        """Child count of the group's queue: its child groups, or its
+        member ranks at the leaf tier."""
+        return len(self.children) or len(self.members)
+
+
+def tier_groups(
+    paths: Sequence[Sequence[Hashable]], n_tiers: int
+) -> Dict[Hashable, TierGroup]:
+    """Every tier group of an ``n_tiers``-deep stack, keyed by group key.
+
+    ``paths[rank]`` lists the rank's group key at each tier, outermost
+    first (keys must differ across tiers).  One pass over the ranks
+    collects members and children in order of first appearance; the
+    result lists groups depth first, each group before its children
+    (node-major order for block placements).
+    """
+    #: key -> (member ranks, child keys), both in order of appearance
+    found: Dict[Hashable, Tuple[List[int], List[Hashable]]] = {}
+    roots: List[Hashable] = []
+    for rank, path in enumerate(paths):
+        siblings = roots
+        for key in path[:n_tiers]:
+            entry = found.get(key)
+            if entry is None:
+                entry = found[key] = ([], [])
+                siblings.append(key)
+            entry[0].append(rank)
+            siblings = entry[1]
+    groups: Dict[Hashable, TierGroup] = {}
+
+    def walk(keys: List[Hashable], tier: int, parent: Optional[Hashable]) -> None:
+        for position, key in enumerate(keys):
+            members, children = found[key]
+            groups[key] = TierGroup(
+                key, tier, tuple(members), position, parent, tuple(children)
+            )
+            walk(children, tier + 1, key)
+
+    walk(roots, 1, None)
+    return groups
+
+
+def leaf_slots(groups: Dict[Hashable, TierGroup]) -> Dict[int, Tuple[Hashable, int]]:
+    """rank -> (its leaf group's key, its child index in that group)."""
+    return {
+        rank: (group.key, child)
+        for group in groups.values()
+        if not group.children
+        for child, rank in enumerate(group.members)
+    }
 
 
 @dataclass(frozen=True)
@@ -58,40 +140,40 @@ class Placement:
         """Number of placed ranks (the world size)."""
         return len(self.slots)
 
-    def _tier_index(self):
-        """Rank groups per tier, built once in O(ranks).
+    def tier_groups(self, depth: int) -> Dict[Hashable, TierGroup]:
+        """The tier groups of a depth-``depth`` stack (memoised).
 
-        Every group query used to rescan ``slots`` (O(ranks) per call),
-        which made constructing an ``MpiWorld`` — one ``local_rank`` /
-        ``socket_rank`` / ``numa_rank`` triple per rank — quadratic in
-        the world size and the dominant cost at 10^4-10^6 ranks.  The
-        index maps each tier coordinate to its sorted rank list plus
-        each rank to its position inside its own group, so the public
-        queries return exactly what the scans returned, in O(group) or
-        O(1).
+        ``depth - 1`` tiers lie below the global queue, keyed in the
+        window-key convention: the node index at tier 1, then
+        ``(node, socket)`` and ``(node, socket, numa)``.  The single
+        owner of group keys, members and positions: the execution
+        models, dCC, the placement optimiser and the shared windows
+        all walk this tree.  One pass over the ranks builds the full
+        tree; a shallower stack cuts it at its leaf tier.
         """
-        cache = self.__dict__.get("_tier_cache")
-        if cache is None:
-            by_node: dict = {}
-            by_socket: dict = {}
-            by_numa: dict = {}
-            for rank, (n, s, m, _) in enumerate(self.slots):
-                by_node.setdefault(n, []).append(rank)
-                by_socket.setdefault((n, s), []).append(rank)
-                by_numa.setdefault((n, s, m), []).append(rank)
-            pos = {
-                "node": {}, "socket": {}, "numa": {},
-            }
-            for groups, key in (
-                (by_node, "node"), (by_socket, "socket"), (by_numa, "numa")
-            ):
-                table = pos[key]
-                for members in groups.values():
-                    for index, rank in enumerate(members):
-                        table[rank] = index
-            cache = (by_node, by_socket, by_numa, pos)
-            object.__setattr__(self, "_tier_cache", cache)
-        return cache
+        cache = self.__dict__.setdefault("_tier_groups", {})
+        groups = cache.get(depth)
+        if groups is None:
+            if depth == MAX_DEPTH:
+                groups = tier_groups(
+                    [(n, (n, s), (n, s, m)) for n, s, m, _ in self.slots],
+                    MAX_DEPTH - 1,
+                )
+            else:
+                leaf = depth - 1
+                groups = {
+                    key: group if group.tier < leaf
+                    else replace(group, children=())
+                    for key, group in self.tier_groups(MAX_DEPTH).items()
+                    if group.tier <= leaf
+                }
+            cache[depth] = groups
+        return groups
+
+    def _members(self, key) -> Tuple[int, ...]:
+        """Sorted ranks of the tier group ``key`` names (empty if none)."""
+        group = self.tier_groups(MAX_DEPTH).get(key)
+        return group.members if group is not None else ()
 
     def node_of(self, rank: int) -> int:
         """Node index hosting ``rank``."""
@@ -111,43 +193,37 @@ class Placement:
 
     def ranks_on_node(self, node: int) -> List[int]:
         """Ranks bound to one node (the node-level communicator), sorted."""
-        return list(self._tier_index()[0].get(node, ()))
+        return list(self._members(node))
 
     def ranks_on_socket(self, node: int, socket: int) -> List[int]:
         """Ranks bound to one socket (the socket-level communicator)."""
-        return list(self._tier_index()[1].get((node, socket), ()))
+        return list(self._members((node, socket)))
 
     def ranks_on_numa(self, node: int, socket: int, numa: int) -> List[int]:
         """Ranks bound to one NUMA domain (the NUMA-level communicator)."""
-        return list(self._tier_index()[2].get((node, socket, numa), ()))
+        return list(self._members((node, socket, numa)))
 
     def sockets_on_node(self, node: int) -> List[int]:
         """Socket indices of ``node`` that hold at least one rank, sorted."""
-        return sorted(
-            {s for (n, s) in self._tier_index()[1] if n == node}
-        )
+        group = self.tier_groups(MAX_DEPTH).get(node)
+        return sorted(key[1] for key in group.children) if group else []
 
     def numas_on_socket(self, node: int, socket: int) -> List[int]:
         """NUMA indices of one socket that hold at least one rank, sorted."""
-        return sorted(
-            {
-                m
-                for (n, s, m) in self._tier_index()[2]
-                if n == node and s == socket
-            }
-        )
+        group = self.tier_groups(MAX_DEPTH).get((node, socket))
+        return sorted(key[2] for key in group.children) if group else []
 
     def local_rank(self, rank: int) -> int:
         """Rank's index among the ranks of its own node (shared-memory comm)."""
-        return self._tier_index()[3]["node"][rank]
+        return bisect_left(self._members(self.slots[rank][0]), rank)
 
     def socket_rank(self, rank: int) -> int:
         """Rank's index among the ranks of its own socket."""
-        return self._tier_index()[3]["socket"][rank]
+        return bisect_left(self._members(self.slots[rank][:2]), rank)
 
     def numa_rank(self, rank: int) -> int:
         """Rank's index among the ranks of its own NUMA domain."""
-        return self._tier_index()[3]["numa"][rank]
+        return bisect_left(self._members(self.slots[rank][:3]), rank)
 
 
 def block_placement(cluster: ClusterSpec, ppn: int) -> Placement:

@@ -51,68 +51,37 @@ from repro.models.base import _Run
 from repro.models.mpi_mpi import MpiMpiModel
 from repro.smpi.world import MpiWorld
 
+#: machine tier of each tier-group level, outermost first
+_TIERS = ("node", "socket", "numa")
+
 
 def _level_fanouts(run: _Run, world: MpiWorld) -> List[int]:
     """Child count per scheduling level under the machine-tier mapping.
 
     Mirrors :class:`~repro.models.mpi_mpi.MpiMpiModel`: depth 1
-    schedules all ranks against the root technique; depth 2 nodes then
-    cores; depth 3 adds the socket tier; depth 4 the NUMA tier.  dCC
-    flattens the stack ahead of time, so every group of a tier must
-    have the same child count — heterogeneous tiers would make the
-    flattened sequence depend on which group received which chunk.
+    schedules all ranks against the root technique; each deeper level
+    carves for the single fanout of its tier's groups in
+    :meth:`Placement.tier_groups
+    <repro.cluster.topology.Placement.tier_groups>`.  dCC flattens the
+    stack ahead of time, so every group of a tier must have the same
+    child count — heterogeneous tiers would make the flattened sequence
+    depend on which group received which chunk.
     """
     depth = run.spec.depth
     if depth == 1:
         return [world.size]
-    placement = world.placement
-    per_node_sockets = [
-        placement.sockets_on_node(node) for node in range(run.cluster.n_nodes)
-    ]
+    groups = world.placement.tier_groups(depth).values()
     fanouts = [run.cluster.n_nodes]
-    if depth == 2:
-        return fanouts + [run.ppn]
-
-    def uniform(counts: List[int], tier: str) -> int:
-        if len(set(counts)) != 1:
+    for tier in range(1, depth):
+        counts = {group.fanout for group in groups if group.tier == tier}
+        if len(counts) != 1:
+            child = "ranks" if tier == depth - 1 else _TIERS[tier]
             raise ValueError(
                 f"dcc flattens the level stack ahead of time and needs a "
-                f"uniform machine: {tier} group sizes differ ({sorted(set(counts))})"
+                f"uniform machine: {child}-per-{_TIERS[tier - 1]} group "
+                f"sizes differ ({sorted(counts)})"
             )
-        return counts[0]
-
-    n_sockets = uniform(
-        [len(sockets) for sockets in per_node_sockets], "socket-per-node"
-    )
-    fanouts.append(n_sockets)
-    socket_groups = [
-        (node, socket)
-        for node, sockets in enumerate(per_node_sockets)
-        for socket in sockets
-    ]
-    if depth == 3:
-        members = uniform(
-            [len(placement.ranks_on_socket(*key)) for key in socket_groups],
-            "ranks-per-socket",
-        )
-        return fanouts + [members]
-    numa_groups = [
-        (node, socket, numa)
-        for node, socket in socket_groups
-        for numa in placement.numas_on_socket(node, socket)
-    ]
-    fanouts.append(
-        uniform(
-            [len(placement.numas_on_socket(*key)) for key in socket_groups],
-            "numa-per-socket",
-        )
-    )
-    fanouts.append(
-        uniform(
-            [len(placement.ranks_on_numa(*key)) for key in numa_groups],
-            "ranks-per-numa",
-        )
-    )
+        fanouts.append(counts.pop())
     return fanouts
 
 

@@ -76,29 +76,6 @@ class MasterWorkerModel(ExecutionModel):
         iter_counts = {}
 
         def master(ctx: RankCtx):
-            scheduled = 0
-            step = 0
-            done_sent = 0
-            while done_sent < n_workers:
-                source, _ = yield from ctx.recv_any(TAG_REQUEST)
-                if scheduled >= n:
-                    yield from ctx.send(source, TAG_ASSIGN, None)
-                    done_sent += 1
-                    continue
-                # chunk calculation happens *at the master*, serialised
-                yield Overhead(run.costs.chunk_calc)
-                size = calc.size_at(step, pe=(source - 1) % n_workers)
-                size = max(1, min(size, n - scheduled))
-                assignment = (step, scheduled, size)
-                run.record_chunk(step, scheduled, size, pe=source)
-                scheduled += size
-                step += 1
-                yield from ctx.send(source, TAG_ASSIGN, assignment)
-            finish_times[ctx.rank] = run.sim.now
-            chunk_counts[ctx.rank] = 0
-            iter_counts[ctx.rank] = 0
-
-        def master_ft(ctx: RankCtx):
             # Failure-aware master: requesters are parked in ``waiting``
             # and served orphaned (reclaimed) ranges before fresh chunks;
             # a worker is retired with ``None`` only once the whole
@@ -106,6 +83,8 @@ class MasterWorkerModel(ExecutionModel):
             # flight (claimed or orphaned), so a late crash can always be
             # re-served.  The fault injector announces each confirmed
             # death with a ``"__dead__"`` request from the victim.
+            # Without faults nothing is orphaned or claimed and every
+            # rank stays alive, so each request is served as it arrives.
             scheduled = 0
             step = 0
             done_sent = 0
@@ -139,7 +118,8 @@ class MasterWorkerModel(ExecutionModel):
                         continue
                     size = calc.size_at(step, pe=(w - 1) % n_workers)
                     size = max(1, min(size, n - scheduled))
-                    run.claim(w, step, scheduled, size)
+                    if run.faults_active:
+                        run.claim(w, step, scheduled, size)
                     run.record_chunk(step, scheduled, size, pe=w)
                     assignment = (step, scheduled, size)
                     scheduled += size
@@ -194,10 +174,7 @@ class MasterWorkerModel(ExecutionModel):
 
         def main(ctx: RankCtx):
             if ctx.rank == 0:
-                if run.faults_active:
-                    yield from master_ft(ctx)
-                else:
-                    yield from master(ctx)
+                yield from master(ctx)
             else:
                 yield from worker(ctx)
 

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from repro.cluster.topology import MAX_DEPTH, TierGroup, leaf_slots
 from repro.core import trace as trace_mod
 from repro.core.technique_base import ChunkCalculator
 from repro.core.workqueue import TierQueue, WorkChunk
@@ -66,40 +67,35 @@ from repro.sim.primitives import ComputeOnce, Overhead, Timeout
 from repro.smpi.shm import SharedWindow
 from repro.smpi.world import MpiWorld, RankCtx
 
-#: maximum scheduling depth:
-#: cluster->node, node->socket, socket->numa, numa->core
-MAX_LEVELS = 4
-
 
 class _LocalQueue(TierQueue):
     """One tier group's work queue in a shared-memory window.
 
     All methods must be called while the caller holds the window's
     lock; the simulated access costs are charged by the caller through
-    ``SharedWindow.access``.  ``level`` indexes ``spec.levels`` (the
-    technique carving deposits); ``parent`` is None when the parent is
-    the global RMA queue, and ``parent_pe`` is this queue's child index
-    within its parent (the node index at tier 1, the socket's position
-    within its node at tier 2, the NUMA domain's position within its
-    socket at tier 3) — the ``pe`` argument for PE-dependent parent
-    techniques.
+    ``SharedWindow.access``.  ``group`` is the
+    :class:`~repro.cluster.topology.TierGroup` the queue serves: its
+    tier indexes ``spec.levels`` (the technique carving deposits), its
+    fanout is the carve's child count and its position within the
+    parent group is ``parent_pe``, the ``pe`` argument for
+    PE-dependent parent techniques.  ``parent`` is None when the parent
+    is the global RMA queue.
     """
 
     def __init__(
         self,
         run: _Run,
-        level: int,
-        n_children: int,
+        group: TierGroup,
         shm: SharedWindow,
         parent: "Optional[_LocalQueue]",
-        parent_pe: int,
         global_queue: Optional[GlobalQueue] = None,
     ):
         super().__init__(
-            run.spec.levels[level], n_children, parent, parent_pe,
+            run.spec.levels[group.tier], group.fanout, parent, group.position,
             chunk_overhead=run.costs.chunk_calc,
         )
-        self.level = level
+        self.group = group
+        self.level = group.tier
         self.shm = shm
         self.global_queue = global_queue
         #: ADAPT calculators this queue instantiated (selector reporting)
@@ -253,11 +249,11 @@ class MpiMpiModel(ExecutionModel):
         under the default ``"leader"`` homes.
         """
         levels = self._levels(run)
-        if levels > MAX_LEVELS:
+        if levels > MAX_DEPTH:
             raise ValueError(
                 f"{self.name} maps scheduling levels onto machine tiers "
                 f"cluster->node->socket->numa->core and therefore supports "
-                f"at most {MAX_LEVELS} levels; got a depth-{levels} stack "
+                f"at most {MAX_DEPTH} levels; got a depth-{levels} stack "
                 f"({run.spec.label})"
             )
         run.n_sched_levels = levels
@@ -300,7 +296,7 @@ class MpiMpiModel(ExecutionModel):
 
     def _execute(self, run: _Run) -> None:
         world, queue, local_queues, plan = self.setup(run)
-        depth = self._tiers(run)
+        leaves = leaf_slots(world.placement.tier_groups(self._tiers(run)))
         finish_times = {}
         chunk_counts = {}
         iter_counts = {}
@@ -312,9 +308,10 @@ class MpiMpiModel(ExecutionModel):
                 return self._flat_worker_loop(
                     run, ctx, queue, finish_times, chunk_counts, iter_counts,
                 )
-            leaf, child = self._leaf_of(local_queues, ctx, depth)
+            key, child = leaves[ctx.rank]
             return self._worker_loop(
-                run, ctx, leaf, child, finish_times, chunk_counts, iter_counts,
+                run, ctx, local_queues[key], child,
+                finish_times, chunk_counts, iter_counts,
             )
 
         recover = self._make_recover(run, world, queue, local_queues)
@@ -347,100 +344,29 @@ class MpiMpiModel(ExecutionModel):
         depth: int,
         plan=None,
     ) -> Dict[object, _LocalQueue]:
-        """Create one local queue per tier group (tier 1: nodes, tier 2:
-        sockets, tier 3: NUMA domains), wired into a refill tree rooted
-        at the global queue.  ``plan`` (a
+        """Create one local queue per tier group of
+        :meth:`Placement.tier_groups
+        <repro.cluster.topology.Placement.tier_groups>` (tier 1: nodes,
+        tier 2: sockets, tier 3: NUMA domains), wired into a refill tree
+        rooted at the global queue.  ``plan`` (a
         :class:`~repro.cluster.placement_opt.PlacementPlan`) overrides
         each window's home rank; None keeps the leader defaults."""
-        if depth == 1:
-            return {}
         home_of = (lambda key: None) if plan is None else plan.home_of
-        placement = world.placement
         local_queues: Dict[object, _LocalQueue] = {}
-        for node in range(run.cluster.n_nodes):
-            sockets = placement.sockets_on_node(node)
-            n_children = run.ppn if depth == 2 else len(sockets)
-            local_queues[node] = _LocalQueue(
+        for key, group in world.placement.tier_groups(depth).items():
+            root = group.parent is None
+            local_queues[key] = _LocalQueue(
                 run,
-                level=1,
-                n_children=n_children,
-                shm=world.create_shared_window(node, {}, home_rank=home_of(node)),
-                parent=None,
-                parent_pe=node,
-                global_queue=queue,
+                group,
+                shm=world.create_shared_window(key, {}, home_rank=home_of(key)),
+                parent=None if root else local_queues[group.parent],
+                global_queue=queue if root else None,
             )
-            if depth < 3:
-                continue
-            for position, socket in enumerate(sockets):
-                members = placement.ranks_on_socket(node, socket)
-                numas = placement.numas_on_socket(node, socket)
-                socket_children = len(members) if depth == 3 else len(numas)
-                local_queues[(node, socket)] = _LocalQueue(
-                    run,
-                    level=2,
-                    n_children=socket_children,
-                    shm=world.create_shared_window(
-                        (node, socket), {}, home_rank=home_of((node, socket))
-                    ),
-                    parent=local_queues[node],
-                    parent_pe=position,
-                )
-                if depth < 4:
-                    continue
-                for numa_position, numa in enumerate(numas):
-                    numa_members = placement.ranks_on_numa(node, socket, numa)
-                    local_queues[(node, socket, numa)] = _LocalQueue(
-                        run,
-                        level=3,
-                        n_children=len(numa_members),
-                        shm=world.create_shared_window(
-                            (node, socket, numa),
-                            {},
-                            home_rank=home_of((node, socket, numa)),
-                        ),
-                        parent=local_queues[(node, socket)],
-                        parent_pe=numa_position,
-                    )
         return local_queues
-
-    @staticmethod
-    def _leaf_of(
-        local_queues: Dict[object, _LocalQueue], ctx: RankCtx, depth: int
-    ) -> Tuple[_LocalQueue, int]:
-        """The queue a rank grabs sub-chunks from, and its child index."""
-        if depth == 2:
-            return local_queues[ctx.node], ctx.local_rank
-        if depth == 3:
-            return local_queues[(ctx.node, ctx.socket)], ctx.socket_rank
-        return (
-            local_queues[(ctx.node, ctx.socket, ctx.numa)],
-            ctx.numa_rank,
-        )
 
     # ------------------------------------------------------------------
     # failure recovery (driven by the fault injector at detection time)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _group_ranks(world: MpiWorld, key) -> List[int]:
-        """The member ranks of the tier group a queue key names."""
-        placement = world.placement
-        if isinstance(key, tuple):
-            if len(key) == 2:
-                return placement.ranks_on_socket(*key)
-            return placement.ranks_on_numa(*key)
-        return placement.ranks_on_node(key)
-
-    @staticmethod
-    def _descendant_keys(local_queues: Dict[object, _LocalQueue], key) -> List[object]:
-        """``key`` plus every queue key nested inside its tier group."""
-        prefix = key if isinstance(key, tuple) else (key,)
-        found = []
-        for other in local_queues:
-            tup = other if isinstance(other, tuple) else (other,)
-            if tup[: len(prefix)] == prefix:
-                found.append(other)
-        return found
-
     def _reopen(self, local_queues: Dict[object, _LocalQueue], key) -> None:
         """Clear ``drained`` on ``key``'s queue and all descendants.
 
@@ -448,8 +374,10 @@ class MpiMpiModel(ExecutionModel):
         contents before the drained flag, so a concurrent refill
         re-marking the flag can never hide the deposited work.
         """
-        for other in self._descendant_keys(local_queues, key):
-            local_queues[other].drained = False
+        lq = local_queues[key]
+        lq.drained = False
+        for child in lq.group.children:
+            self._reopen(local_queues, child)
 
     def _nearest_live_queue(
         self,
@@ -463,9 +391,7 @@ class MpiMpiModel(ExecutionModel):
         (wider sharing) on ties."""
         best = None
         for key, lq in local_queues.items():
-            if not any(
-                world.rank_alive(r) for r in self._group_ranks(world, key)
-            ):
+            if not any(world.rank_alive(r) for r in lq.group.members):
                 continue
             home = lq.shm.home_rank
             tier_value = (
@@ -496,13 +422,9 @@ class MpiMpiModel(ExecutionModel):
         def recover(dead_rank: int):
             # 1. coordinator failover: windows homed/hosted on the dead
             # rank move to the next live rank of their tier group
-            for key, lq in local_queues.items():
+            for lq in local_queues.values():
                 if lq.shm.home_rank == dead_rank:
-                    live = [
-                        r
-                        for r in self._group_ranks(world, key)
-                        if world.rank_alive(r)
-                    ]
+                    live = [r for r in lq.group.members if world.rank_alive(r)]
                     if live:
                         lq.shm.fail_over(live[0])
                         run.fault_counters["failovers"] += 1
@@ -523,22 +445,22 @@ class MpiMpiModel(ExecutionModel):
                 if size > 0:
                     start = queue.calc.start_at(dead_rank)
                     stranded.append((dead_rank, start, min(size, queue.n - start)))
-            for key, lq in local_queues.items():
-                members = self._group_ranks(world, key)
-                if any(world.rank_alive(r) for r in members):
+            for lq in local_queues.values():
+                if any(world.rank_alive(r) for r in lq.group.members):
                     continue
                 stranded.extend(lq.strand())
+                pe = lq.parent_pe
                 if (
-                    isinstance(key, int)
+                    lq.parent is None
                     and queue.pinned
-                    and not queue._pinned_taken.get(key)
+                    and not queue._pinned_taken.get(pe)
                 ):
                     # the dead node group never fetched its pinned chunk
-                    queue._pinned_taken[key] = True
-                    size = queue.calc.size_at(key)
+                    queue._pinned_taken[pe] = True
+                    size = queue.calc.size_at(pe)
                     if size > 0:
-                        start = queue.calc.start_at(key)
-                        stranded.append((key, start, min(size, queue.n - start)))
+                        start = queue.calc.start_at(pe)
+                        stranded.append((pe, start, min(size, queue.n - start)))
             # 3. re-deposit each range into the nearest live queue (or
             # the orphan pool for depth-1 runs, which have no tiers)
             target = self._nearest_live_queue(world, local_queues, dead_rank)

@@ -48,6 +48,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from repro.cluster.costs import CostModel, DEFAULT_COSTS
 from repro.cluster.interconnect import Tier, tier_between
 from repro.cluster.machine import ClusterSpec, NodeSpec
+from repro.cluster.topology import leaf_slots, tier_groups
 from repro.core.chunking import ChunkLog, verify_schedule
 from repro.core.hierarchy import HierarchicalSpec, LevelSpec
 from repro.core.workqueue import TierQueue, WorkChunk
@@ -241,44 +242,27 @@ class NativeRunner:
                 f"2..{max_depth}; got a depth-{depth} stack ({spec.label})"
             )
 
-        n_tiers = depth - 1
-        tier_keys: List[List[GroupKey]] = []
-        for tier in range(n_tiers):
-            keys: List[GroupKey] = []
-            for path in slots:
-                if path[tier] not in keys:
-                    keys.append(path[tier])
-            tier_keys.append(keys)
-        leaf_members: Dict[GroupKey, List[int]] = {}
-        for worker, path in enumerate(slots):
-            leaf_members.setdefault(path[n_tiers - 1], []).append(worker)
-
+        groups = tier_groups(slots, depth - 1)
         carve_root = _root_carver(
-            spec.inter.make_calculator(self.workload.n, len(tier_keys[0])),
+            spec.inter.make_calculator(
+                self.workload.n, sum(g.parent is None for g in groups.values())
+            ),
             self.workload.n,
         )
+        # tier-major, each parent before its children
         queues: Dict[GroupKey, _ThreadQueue] = {}
-        for tier, keys in enumerate(tier_keys):
-            for key in keys:
-                if tier + 1 < n_tiers:
-                    n_children = sum(
-                        1
-                        for child in tier_keys[tier + 1]
-                        if child[: len(key)] == key
-                    )
-                else:
-                    n_children = len(leaf_members[key])
-                siblings = [k for k in keys if k[:-1] == key[:-1]]
-                queues[key] = _ThreadQueue(
-                    spec.levels[tier + 1],
-                    n_children,
-                    parent=queues[key[:-1]] if tier > 0 else None,
-                    parent_pe=siblings.index(key),
-                )
+        for group in sorted(groups.values(), key=lambda g: g.tier):
+            queues[group.key] = _ThreadQueue(
+                spec.levels[group.tier],
+                group.fanout,
+                parent=None if group.parent is None else queues[group.parent],
+                parent_pe=group.position,
+            )
+        leaves = leaf_slots(groups)
 
         def worker_loop(pe: int, record) -> None:
-            key = slots[pe][n_tiers - 1]
-            leaf, child = queues[key], leaf_members[key].index(pe)
+            key, child = leaves[pe]
+            leaf = queues[key]
             while True:
                 sub = self._take_tiered(leaf, carve_root, child, worker=pe)
                 if sub is None:
@@ -286,7 +270,9 @@ class NativeRunner:
                 record(pe, -1, sub[1], sub[2])
 
         result = self._execute("hierarchical", worker_loop)
-        result.groups = {key: list(v) for key, v in leaf_members.items()}
+        result.groups = {
+            key: list(g.members) for key, g in groups.items() if not g.children
+        }
         result.group_deposits = {
             key: list(q.deposits) for key, q in queues.items()
         }
@@ -299,10 +285,7 @@ class NativeRunner:
         # SharedWindow homes; the placement knob can move it
         leaf_paths = [path[-1] for path in slots]
         mpi = (costs or DEFAULT_COSTS).mpi
-        group_members = {
-            key: [w for w, path in enumerate(slots) if path[len(key) - 1] == key]
-            for key in queues
-        }
+        group_members = {key: groups[key].members for key in queues}
         homes = self._native_homes(placement, group_members, leaf_paths, mpi)
         penalty = 0.0
         for key, q in queues.items():

@@ -467,9 +467,6 @@ def _run_depth2(run, queue, local_queues, ranks: List[_Rank]) -> None:
         else:
             nl.check_time = None
 
-    def release(nl: _NodeLock, now: float) -> None:
-        fast_forward(nl, now)
-
     def begin_exec(state: _Rank, sub, now: float) -> None:
         """Post-unlock tail: win_sync then the chunk's compute span."""
         nl = locks[state.node]
@@ -551,17 +548,17 @@ def _run_depth2(run, queue, local_queues, ranks: List[_Rank]) -> None:
                 lane.schedule(now + U, now, _M_UNLOCK_EMPTY, state)
         elif code == _M_UNLOCK_TAKEN:
             state, sub = payload
-            release(locks[state.node], now)
+            fast_forward(locks[state.node], now)
             begin_exec(state, sub, now)
         elif code == _M_UNLOCK_EXIT:
             state = payload
-            release(locks[state.node], now)
+            fast_forward(locks[state.node], now)
             state.finish_time = now
             live -= 1
         elif code == _M_UNLOCK_EMPTY:
             state = payload
             nl = locks[state.node]
-            release(nl, now)
+            fast_forward(nl, now)
             nl.shm.n_syncs += 1
             state.overhead_time += S
             arrive(state, now + S)

@@ -27,10 +27,11 @@ re-homes the window; lock-poll waits come from the simulator's buffered
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.cluster.topology import MAX_DEPTH
 from repro.sim.primitives import Delay, Overhead, OverheadOnce
 from repro.sim.resources import Lock
 
@@ -54,13 +55,14 @@ def poll_wait_block(
 
 
 class SharedWindow:
-    """A node-local shared-memory window with named cells + free state.
+    """A node-local shared-memory window with named cells.
 
     ``cells`` hold named integers (counters, flags) accessed through
-    :meth:`load`/:meth:`store` at per-access cost.  ``state`` is a
-    free-form dict for structured queue contents (chunk range lists);
-    callers charge access costs explicitly through :meth:`access` —
-    keeping the cost model honest without forcing byte-level encoding.
+    :meth:`load`/:meth:`store` at per-access cost.  Structured queue
+    contents (a :class:`~repro.core.workqueue.TierQueue`) live with the
+    caller, which charges their access costs explicitly through
+    :meth:`access` — keeping the cost model honest without forcing
+    byte-level encoding.
 
     All mutating accesses must happen while holding the window lock;
     violations raise immediately (they would be data races on real
@@ -79,8 +81,6 @@ class SharedWindow:
         #: windows (e.g. ``(node, socket)`` for a socket-level queue)
         self.node = node
         self.cells: Dict[str, int] = dict(cells)
-        #: free-form structured contents (the queue's chunk ranges)
-        self.state: Dict[str, Any] = {}
         # int keys keep their historical stream names so per-node
         # windows (and thus every two-level run) stay bit-identical
         tag = (
@@ -96,16 +96,19 @@ class SharedWindow:
             world.costs.mpi.shm_poll_interval,
         )
         self._sync = Overhead(world.costs.mpi.shm_win_sync)
+        if home_rank is None:
+            group = world.placement.tier_groups(MAX_DEPTH).get(node)
+            home_rank = group.members[0] if group is not None else None
         #: rank whose NUMA domain physically hosts the window's pages.
-        #: Default: the lowest rank of the tier group the key names
-        #: (first-touch allocation by the group leader); a placement
-        #: plan may override it with any group member via ``home_rank``.
+        #: Default: the lowest rank of the tier group the key names in
+        #: :meth:`Placement.tier_groups
+        #: <repro.cluster.topology.Placement.tier_groups>` (first-touch
+        #: allocation by the group leader); a placement plan may
+        #: override it with any group member via ``home_rank``.
         #: Accesses from other ranks pay the locality-tier penalties of
         #: the cost model; None for free-form keys, which stay
         #: distance-blind.
-        self.home_rank: Optional[int] = (
-            home_rank if home_rank is not None else self._home_of(world, node)
-        )
+        self.home_rank: Optional[int] = home_rank
         #: per-rank price memo — the tier of a (rank, window) pair
         #: changes only when :meth:`fail_over` re-homes the window
         self._prices: Dict[int, _Prices] = {}
@@ -124,23 +127,6 @@ class SharedWindow:
         #: atomics) — the distance-priced share of its traffic, which is
         #: what queue *placement* can change.  Zero with default knobs.
         self.total_penalty_s = 0.0
-
-    @staticmethod
-    def _home_of(world: "MpiWorld", key) -> Optional[int]:
-        """Lowest rank of the tier group ``key`` names, or None."""
-        placement = world.placement
-        try:
-            if isinstance(key, int):
-                members = placement.ranks_on_node(key)
-            elif isinstance(key, tuple) and len(key) == 2:
-                members = placement.ranks_on_socket(*key)
-            elif isinstance(key, tuple) and len(key) == 3:
-                members = placement.ranks_on_numa(*key)
-            else:
-                return None
-        except (TypeError, IndexError):
-            return None
-        return members[0] if members else None
 
     def _prices_of(self, rank: int) -> _Prices:
         """``rank``'s priced costs on this window (memoised).
@@ -367,12 +353,12 @@ class SharedWindow:
         self.cells[cell] = value
 
     def access(self, ctx: "RankCtx", n: int = 1) -> Delay:
-        """Charge ``n`` shared-memory accesses for :attr:`state` reads/writes.
+        """Charge ``n`` shared-memory accesses to structured contents.
 
-        The structured queue contents live in :attr:`state` as Python
-        objects; models mutate them directly but must account the
-        touches through this method (and hold the lock).  Returns the
-        priced delay for the caller to yield.
+        Models keep their queue contents as Python objects and mutate
+        them directly, but must account the touches through this method
+        (and hold the lock).  Returns the priced delay for the caller to
+        yield.
         """
         if self._lock.owner != ctx.owner:
             self._require_held(ctx)

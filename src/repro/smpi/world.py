@@ -8,8 +8,9 @@ of rank processes.  Rank main functions are generators taking a
 
 Conventions: every time and cost is simulated seconds.  Ranks are
 ``0 .. size - 1`` in placement order; ``RankCtx.node`` is a node index
-into the cluster, and ``local_rank``/``socket_rank``/``numa_rank`` count
-from 0 within the rank's node, socket and NUMA domain.
+into the cluster and ``local_rank`` counts from 0 within the rank's
+node; deeper tier groups come from :meth:`Placement.tier_groups
+<repro.cluster.topology.Placement.tier_groups>`.
 """
 
 from __future__ import annotations
@@ -132,10 +133,12 @@ class MpiWorld:
     ) -> SharedWindow:
         """Allocate a shared-memory window (``MPI_Win_allocate_shared``).
 
-        ``node`` is the window's key: a node index for the classic
-        per-node local queue, or any hashable (e.g. a ``(node, socket)``
-        or ``(node, socket, numa)`` tuple) for the finer-grained windows
-        of deeper scheduling stacks — each key gets its own lock, so
+        ``node`` is the window's key: a tier-group key of
+        :meth:`Placement.tier_groups
+        <repro.cluster.topology.Placement.tier_groups>` (the node index
+        for the classic per-node local queue, ``(node, socket)`` or
+        ``(node, socket, numa)`` for the finer-grained windows of deeper
+        stacks), or any other hashable — each key gets its own lock, so
         socket- and NUMA-level queues do not contend on the node lock.
 
         ``home_rank`` overrides the rank whose NUMA domain first-touches
@@ -163,9 +166,7 @@ class RankCtx:
         self.socket = world.placement.socket_of(rank)
         self.numa = world.placement.numa_of(rank)
         self.core = world.placement.core_of(rank)
-        self.local_rank = rank - min(world.placement.ranks_on_node(self.node))
-        self.socket_rank = world.placement.socket_rank(rank)
-        self.numa_rank = world.placement.numa_rank(rank)
+        self.local_rank = world.placement.local_rank(rank)
         #: owner tag this rank leaves on the locks it holds
         self.owner = f"rank{rank}"
         self.process: Optional[Process] = None

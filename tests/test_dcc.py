@@ -8,6 +8,8 @@ hierarchical mpi+mpi run of the same spec — only the rank assignment
 differs.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,24 @@ def test_dcc_rejects_stacks_deeper_than_machine_tiers():
         run_hierarchical(
             wl, minihpc(2, 8, sockets_per_node=2, numa_per_socket=2),
             inter="GSS+FAC2+FAC2+FAC2+STATIC", approach="dcc", ppn=8,
+        )
+
+
+@pytest.mark.parametrize(
+    "stack, message",
+    [
+        ("GSS+FAC2+SS", "ranks-per-socket group sizes differ ([2, 4])"),
+        ("GSS+FAC2+FAC2+SS", "numa-per-socket group sizes differ ([1, 2])"),
+    ],
+)
+def test_dcc_rejects_uneven_tier_groups(stack, message):
+    """ppn=6 on 2 sockets x 2 NUMA domains of 2 cores leaves sockets of
+    4 and 2 ranks: the flattened sequence needs one fanout per tier."""
+    wl = Workload("uneven", np.full(100, 1e-4))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_hierarchical(
+            wl, minihpc(2, 8, sockets_per_node=2, numa_per_socket=2),
+            inter=stack, approach="dcc", ppn=6,
         )
 
 

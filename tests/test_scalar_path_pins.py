@@ -54,6 +54,18 @@ CASES = {
         {"placement": "optimized", "costs": COST_PRESETS["calibrated"]},
     ),
     "mpi+mpi-d4": ("mpi+mpi", "GSS+FAC2+FAC2+SS", {}),
+    # uneven trees: ppn=6 on 2 sockets x 2 NUMA domains of 2 cores gives
+    # sockets of 4 and 2 ranks and one empty NUMA domain per node
+    "mpi+mpi-d3-uneven-optimized": (
+        "mpi+mpi", "GSS+FAC2+SS",
+        {"ppn": 6, "placement": "optimized", "costs": COST_PRESETS["calibrated"]},
+    ),
+    # both members of NUMA group (0, 1, 0) die: recovery strands the
+    # whole group's queue and its parent socket queue's
+    "mpi+mpi-d4-uneven-group-crash": (
+        "mpi+mpi", "GSS+FAC2+FAC2+SS",
+        {"ppn": 6, "faults": "crash:4@0.002,crash:5@0.003"},
+    ),
     "mpi+mpi-d4-faults": (
         "mpi+mpi", "GSS+FAC2+FAC2+SS", {"faults": "crash:12@0.005"},
     ),
@@ -148,6 +160,14 @@ PINS = {
         '0x1.fcc8f4f4f83f9p-6', 4135,
         'ccc861ee7fefd4f2e8b960b1d90290379b25f1ab01b981e58cd82077c6d305f7',
     ),
+    'mpi+mpi-d3-uneven-optimized': (
+        '0x1.5078a2ae8cfd7p-5', 2887,
+        'b1fcaefc7bdc0473fbcc9f9d6e5ce9722a3fe6e1b2934277020a4ac56876fe8c',
+    ),
+    'mpi+mpi-d4-uneven-group-crash': (
+        '0x1.eba49a55d62f5p-5', 11937,
+        'e9d5df7c372f1b49fb68fa70f7ac6f245a0813e3dcfc2648498b61dede4d1960',
+    ),
     'mpi+mpi-d4-faults': (
         '0x1.0f22bdf2b8f1dp-5', 5135,
         '701331f9aeb6a1bca942222395a99eb0992be5c7d4f0678e51a37af821b11588',
@@ -209,5 +229,8 @@ def test_fault_cases_exercise_recovery():
     assert home["lock_leases_broken"] >= 1 and home["failovers"] >= 1
     assert home["chunks_reexecuted"] >= 1
     assert home["window_homes"][1] == 10
+    group = _run(*CASES["mpi+mpi-d4-uneven-group-crash"]).counters
+    assert group["dead_ranks"] == [4, 5]
+    assert group["chunks_reexecuted"] == 5 and group["failovers"] == 2
     dcc = _run(*CASES["dcc-d2-faults"]).counters
     assert dcc["dead_ranks"] == [0] and dcc["window_homes"]["global"] == 1

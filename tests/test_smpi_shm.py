@@ -215,18 +215,20 @@ def test_win_sync_charges_cost_and_counts():
 def test_state_dict_with_access_charging():
     world = make_world()
     shm = world.create_shared_window(0, {"n_ranges": 0})
-    shm.state["queue"] = []
+    # the structured contents live with the caller; the window only
+    # charges their accesses
+    queue = []
 
     def main(ctx):
         yield from shm.lock(ctx)
         yield shm.access(ctx, n=2)
-        shm.state["queue"].append((ctx.rank, ctx.rank + 10))
-        yield from shm.store(ctx, "n_ranges", len(shm.state["queue"]))
+        queue.append((ctx.rank, ctx.rank + 10))
+        yield from shm.store(ctx, "n_ranges", len(queue))
         yield shm.unlock(ctx)
         shm.release(ctx)
 
     world.run(main)
-    assert len(shm.state["queue"]) == 4
+    assert len(queue) == 4
     assert shm.peek("n_ranges") == 4
 
 
