@@ -7,9 +7,8 @@ The paper's two execution models place processes differently:
 * **MPI+OpenMP** — one MPI process per node; its OpenMP threads occupy
   the node's cores.
 
-Both are expressed through :func:`block_placement`, which is the only
-placement policy the reproduction needs; round-robin placement is
-provided for completeness and ablations.
+Both are expressed through :func:`block_placement`, the only placement
+policy the reproduction needs and the only one this module defines.
 
 Every slot carries the full machine path ``(node, socket, numa, core)``.
 Cores are numbered socket- and NUMA-contiguously (cores ``[s*cps,

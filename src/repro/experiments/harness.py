@@ -102,7 +102,6 @@ def simulate_cell(
     costs: Optional[CostModel] = None,
     placement: Union[str, Mapping[Any, int]] = "leader",
     faults: Optional[Any] = None,
-    engine: str = "scalar",
 ) -> Cell:
     """Run one cell's simulation (shared by serial path and pool workers).
 
@@ -111,12 +110,6 @@ def simulate_cell(
     schedule (a :class:`repro.cluster.faults.FaultModel` or None) —
     all default to the historical behaviour, so pre-existing sweeps
     are untouched.
-    ``engine`` selects the execution engine ("scalar" | "cohort").  It
-    deliberately does not enter the cell cache key: every sweep cell
-    runs under the default ``MILD_NOISE``, which the cohort engine does
-    not condense, so a cohort cell falls back to the scalar path
-    whole-run and returns the identical cell, ``n_events`` included
-    (pinned by ``tests/test_parallel_sweep.py``).
     """
     t0 = time.perf_counter()
     result: RunResult = run_hierarchical(
@@ -131,7 +124,6 @@ def simulate_cell(
         costs=costs,
         placement=placement,
         faults=faults,
-        engine=engine,
     )
     wall = time.perf_counter() - t0
     return Cell(
@@ -187,11 +179,6 @@ class GridRunner:
     #: fault schedule injected into every cell (None = fault-free);
     #: requires failure-aware approaches — see repro.cluster.faults
     faults: Optional[Any] = None
-    #: execution engine for every cell ("scalar" | "cohort"); not part
-    #: of cell_key: sweep cells carry the default MILD_NOISE, which makes
-    #: every cell cohort-ineligible, so a cohort sweep falls back to the
-    #: scalar path cell by cell and shares the scalar cell cache
-    engine: str = "scalar"
     #: filled by :meth:`sweep`: {"cells", "simulated", "cache_hits"}
     last_sweep_stats: Dict[str, int] = field(default_factory=dict, repr=False)
 
@@ -277,7 +264,6 @@ class GridRunner:
             costs=self.costs,
             placement=self.placement,
             faults=self.faults,
-            engine=self.engine,
         )
 
         self.last_sweep_stats = {

@@ -529,20 +529,19 @@ def _init_worker(
     costs: Optional[CostModel] = None,
     placement: PlacementArg = "leader",
     faults: Optional["FaultModel"] = None,
-    engine: str = "scalar",
 ) -> None:
     global _WORKER_CTX
-    _WORKER_CTX = (workload, ppn, seed, costs, placement, faults, engine)
+    _WORKER_CTX = (workload, ppn, seed, costs, placement, faults)
 
 
 def _run_cell_in_worker(task: Tuple[CellSpec, ClusterSpec]) -> "Cell":
     from repro.experiments.harness import simulate_cell
 
     (approach, inter, intra, nodes), cluster = task
-    workload, ppn, seed, costs, placement, faults, engine = _WORKER_CTX
+    workload, ppn, seed, costs, placement, faults = _WORKER_CTX
     return simulate_cell(
         workload, cluster, approach, inter, intra, nodes, ppn, seed,
-        costs=costs, placement=placement, faults=faults, engine=engine,
+        costs=costs, placement=placement, faults=faults,
     )
 
 
@@ -779,7 +778,6 @@ def run_cells(
     costs: Optional[CostModel] = None,
     placement: PlacementArg = "leader",
     faults: Optional["FaultModel"] = None,
-    engine: str = "scalar",
 ) -> List["Cell"]:
     """Simulate ``specs`` (with matching ``clusters``) on ``jobs`` processes.
 
@@ -804,7 +802,7 @@ def run_cells(
         for index, (spec, cluster) in enumerate(zip(specs, clusters)):
             cell = simulate_cell(
                 workload, cluster, *spec, ppn, seed,
-                costs=costs, placement=placement, faults=faults, engine=engine,
+                costs=costs, placement=placement, faults=faults,
             )
             if on_result is not None:
                 on_result(index, cell)
@@ -814,7 +812,7 @@ def run_cells(
     executor = CellExecutor(
         jobs=min(jobs, len(specs)),
         initializer=_init_worker,
-        initargs=(workload, ppn, seed, costs, placement, faults, engine),
+        initargs=(workload, ppn, seed, costs, placement, faults),
     )
     results: List[Optional["Cell"]] = [None] * len(specs)
     errors: List[Optional[BaseException]] = [None] * len(specs)

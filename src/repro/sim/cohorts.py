@@ -12,6 +12,11 @@ contention winners vs losers, the serialised global-atomic FIFO,
 chunk-dependent compute durations).  Times are simulated seconds
 throughout; all indices are MPI ranks unless a name says node.
 
+Two drivers replay the :class:`~repro.models.mpi_mpi.MpiMpiModel`
+protocols: :func:`_run_flat` (the flat global-counter loop) and the tier
+driver :func:`_run_tiers`, which walks the tier-group tree at depths 2-4
+as the scalar ``_take_from`` recursion does.
+
 Where the condensation is exact
 -------------------------------
 On *eligible* configurations the macro interpreter replays the scalar
@@ -26,7 +31,8 @@ whole point is that there are far fewer of them).
 Eligibility (checked by :func:`cohort_blockers`) requires the run to be
 free of the divergence sources the interpreter does not condense:
 
-* model: ``mpi+mpi`` at depth 1-2, or ``dcc`` (any depth it accepts);
+* model: any :class:`~repro.models.mpi_mpi.MpiMpiModel` (mpi+mpi at
+  any depth, flat-mpi, dCC);
 * techniques: deterministic, non-adaptive, not PE-dependent, not
   pinned-per-PE, ``min_chunk == 1`` at every level;
 * noise: no per-core speed scatter and no per-chunk jitter
@@ -50,9 +56,9 @@ The split points in the fast path
   fast-forwarded arithmetically (waits from the window's buffered
   poll-wait stream, consumed in the per-window chronological order the
   scalar engine would use);
-* **global-queue serialisation** — refills queue on the RMA window's
-  hidden FIFO unit; service is resolved in arrival order with plain
-  arithmetic instead of generator resumes;
+* **refills** — the holder of a dry tier queue polls its parent's lock
+  while it keeps its own; a root-tier refill queues on the RMA window's
+  hidden FIFO unit, served in arrival order with plain arithmetic;
 * **compute divergence** — chunk execution times differ by chunk, so
   ranks leave the compute phase at distinct macro times and re-enter
   the polling cohort individually.
@@ -63,6 +69,7 @@ from __future__ import annotations
 import heapq
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.cluster.topology import leaf_slots
 from repro.sim.engine import CohortLane
 
 __all__ = ["cohort_blockers", "execute_cohort"]
@@ -80,7 +87,9 @@ class _Rank:
         "rank",
         "node",
         "core",
-        "child",
+        "child",  # child index in the leaf queue (tier driver)
+        "path",  # tier locks, leaf first: one tuple per leaf group
+        "up",  # index in ``path`` of the queue the rank works on
         "compute_time",
         "overhead_time",
         "finish_time",
@@ -89,11 +98,13 @@ class _Rank:
         "attempts",
     )
 
-    def __init__(self, rank: int, node: int, core: int, child: int):
+    def __init__(self, rank: int, node: int, core: int):
         self.rank = rank
         self.node = node
         self.core = core
-        self.child = child
+        self.child = 0
+        self.path: Tuple["_TierLock", ...] = ()
+        self.up = 0
         self.compute_time = 0.0
         self.overhead_time = 0.0
         self.finish_time = 0.0
@@ -132,14 +143,14 @@ class _Rank:
         return max(0.0, elapsed - self.compute_time - self.overhead_time - 0.0)
 
 
-class _NodeLock:
-    """One tier group's polled exclusive lock, cohort style.
+class _TierLock:
+    """One tier queue's polled exclusive lock, cohort style.
 
     The polling ranks form a cohort represented as a heap of
     ``(attempt_time, rank)`` entries (ties break by rank id, see
     :meth:`_Rank.__lt__`).  While the lock is held the cohort's failed
     attempts are *deferred*; they are realised in per-window
-    chronological order by :meth:`fast_forward` the moment the release
+    chronological order by ``fast_forward`` the moment the release
     time becomes known — every jitter draw, poll-wait accrual and
     attempt count lands exactly where the scalar engine puts it.  The
     winner splits off; the rest stay in the cohort.
@@ -152,11 +163,10 @@ class _NodeLock:
     engine sees.)
     """
 
-    __slots__ = ("key", "shm", "heap", "holder", "version", "check_time")
+    __slots__ = ("queue", "heap", "holder", "version", "check_time")
 
-    def __init__(self, key, shm):
-        self.key = key
-        self.shm = shm
+    def __init__(self, queue):
+        self.queue = queue
         self.heap: List[Tuple[float, Any]] = []
         self.holder: Optional[_Rank] = None
         #: invalidates superseded CHECK macros (lazy cancellation)
@@ -165,20 +175,78 @@ class _NodeLock:
         self.check_time: Optional[float] = None
 
 
-class _GlobalFifo:
-    """The RMA window's hidden atomic-service unit, cohort style.
+class _GlobalCounter:
+    """The global queue's step counter behind the RMA window's hidden
+    atomic-service unit, cohort style.
 
     Arrival order is the FIFO order (exactly the scalar ``Lock``
     semantics: release hands off at commit time, so service runs
     back-to-back).  Commits are therefore resolved with plain
-    arithmetic; per-commit statistics accrue in commit order.
+    arithmetic; per-commit statistics accrue in commit order.  Each
+    commit of fetch-and-add(step, +1) ends in an ``_M_RESOLVE`` macro.
     """
 
-    __slots__ = ("busy", "queue")
+    __slots__ = ("lane", "window", "prices", "calc_cost", "busy", "waiting")
 
-    def __init__(self):
+    def __init__(self, run, lane: CohortLane, window):
+        self.lane = lane
+        self.window = window
+        #: node -> (latency, processing, remote): zero tier-penalty knobs
+        #: price every rank of a node alike
+        self.prices: Dict[int, Tuple[float, float, bool]] = {
+            node: window.price_of(node * run.ppn)[:3]
+            for node in range(run.cluster.n_nodes)
+        }
+        self.calc_cost = run.costs.chunk_calc
         self.busy = False
-        self.queue: List[Any] = []
+        self.waiting: List[_Rank] = []
+
+    def fetch(self, state: _Rank, now: float) -> None:
+        """``state`` issues its fetch at ``now``: the one-way latency,
+        then the FIFO."""
+        latency = self.prices[state.node][0]
+        if latency:
+            state.overhead_time += latency
+            self.lane.schedule(now + latency, now, _M_GARRIVE, state)
+        else:
+            self.arrive(state, now)
+
+    def arrive(self, state: _Rank, now: float) -> None:
+        """Queue ``state``'s atomic on the unit FIFO at ``now``."""
+        if self.busy:
+            self.waiting.append(state)
+        else:
+            self.busy = True
+            self.lane.schedule(
+                now + self.prices[state.node][1], now, _M_GCOMMIT, state
+            )
+
+    def commit(self, state: _Rank, now: float) -> None:
+        """Commit ``state``'s atomic at ``now`` (stats and counter in
+        scalar order), then hand the unit to the next waiter."""
+        latency, processing, remote = self.prices[state.node]
+        window = self.window
+        step = window.cells["step"]
+        window.cells["step"] = step + 1
+        window.n_atomics += 1
+        if remote:
+            window.n_remote_atomics += 1
+        window.total_atomic_time_s += processing + 2.0 * latency
+        state.overhead_time += processing
+        if latency:
+            state.overhead_time += latency
+        cc = self.calc_cost
+        state.overhead_time += cc
+        self.lane.schedule(
+            now + latency + cc, now + latency, _M_RESOLVE, (step, state)
+        )
+        if self.waiting:
+            nxt = self.waiting.pop(0)
+            self.lane.schedule(
+                now + self.prices[nxt.node][1], now, _M_GCOMMIT, nxt
+            )
+        else:
+            self.busy = False
 
 
 # macro codes (payload layouts are driver-private)
@@ -201,15 +269,13 @@ def cohort_blockers(model, run) -> List[str]:
     the scalar engine whole-run when any are present.  Pure check — no
     simulation state is touched.
     """
+    from repro.models.mpi_mpi import MpiMpiModel
+
     blockers: List[str] = []
-    depth = run.spec.depth
-    if model.name == "mpi+mpi":
-        if depth > 2:
-            blockers.append(
-                f"mpi+mpi depth {depth} (fast path covers depth 1-2)"
-            )
-    elif model.name != "dcc":
-        blockers.append(f"model {model.name!r} (fast path covers mpi+mpi, dcc)")
+    if not isinstance(model, MpiMpiModel):
+        blockers.append(
+            f"model {model.name!r} (fast path covers mpi+mpi, flat-mpi, dcc)"
+        )
     for index, level in enumerate(run.spec.levels):
         tech = level.technique
         if tech.adaptive or tech.pe_dependent:
@@ -249,8 +315,9 @@ def execute_cohort(model, run) -> None:
 
     Entry point used by :meth:`repro.models.base.ExecutionModel.run`
     for ``engine="cohort"``.  Eligible configurations go through the
-    macro interpreter (bit-exact except ``n_events``); everything else
-    runs ``model._execute`` unchanged, so the result — including
+    macro interpreter (bit-exact except ``n_events``), through the tier
+    driver when the model has tier queues.  Everything else runs
+    ``model._execute`` unchanged, so the result — including
     ``n_events`` — is the scalar result.  Both paths build their world
     and queues with the model's own :meth:`setup
     <repro.models.mpi_mpi.MpiMpiModel.setup>`.
@@ -259,12 +326,10 @@ def execute_cohort(model, run) -> None:
         model._execute(run)
         return
     world, queue, local_queues, plan = model.setup(run)
-    ranks = [
-        _Rank(ctx.rank, ctx.node, ctx.core, ctx.local_rank)
-        for ctx in world.contexts
-    ]
+    ranks = [_Rank(ctx.rank, ctx.node, ctx.core) for ctx in world.contexts]
     if local_queues:
-        _run_depth2(run, queue, local_queues, ranks)
+        groups = world.placement.tier_groups(model._tiers(run))
+        _run_tiers(run, queue, local_queues, groups, ranks)
     else:
         _run_flat(run, queue, ranks)
     for state, ctx in zip(ranks, world.contexts):
@@ -280,41 +345,6 @@ def execute_cohort(model, run) -> None:
 
 
 # ---------------------------------------------------------------------------
-# shared machinery
-# ---------------------------------------------------------------------------
-
-
-def _commit_atomic(window, remote: bool, processing: float, latency: float) -> int:
-    """Commit one fetch-and-add(step, +1): stats + counter, scalar order."""
-    old = window.cells["step"]
-    window.cells["step"] = old + 1
-    window.n_atomics += 1
-    if remote:
-        window.n_remote_atomics += 1
-    window.total_atomic_time_s += processing + 2.0 * latency
-    return old
-
-
-def _fifo_arrive(lane, fifo: _GlobalFifo, when: float, payload) -> None:
-    """Queue one atomic on the unit FIFO at ``when`` (arrival order)."""
-    if fifo.busy:
-        fifo.queue.append(payload)
-    else:
-        fifo.busy = True
-        # payload[0] is the requesting rank's processing time
-        lane.schedule(when + payload[0], when, _M_GCOMMIT, payload)
-
-
-def _fifo_release(lane, fifo: _GlobalFifo, commit: float) -> None:
-    """Hand the unit to the next FIFO waiter at commit time."""
-    if fifo.queue:
-        nxt = fifo.queue.pop(0)
-        lane.schedule(commit + nxt[0], commit, _M_GCOMMIT, nxt)
-    else:
-        fifo.busy = False
-
-
-# ---------------------------------------------------------------------------
 # depth-1 driver: one serialised counter, no tier locks
 # ---------------------------------------------------------------------------
 
@@ -322,50 +352,26 @@ def _fifo_release(lane, fifo: _GlobalFifo, commit: float) -> None:
 def _run_flat(run, queue, ranks: List[_Rank]) -> None:
     """Replay the flat protocol of
     :meth:`repro.models.mpi_mpi.MpiMpiModel._flat_worker_loop`
-    (mpi+mpi at depth 1, and dCC) as macro events.
+    (mpi+mpi at depth 1, flat-mpi and dCC) as macro events.
 
     Chunk-calculation overhead and latency accrue per rank in protocol
     order; records are emitted at their anchored macro times.
     """
-    window = queue.window
     resolve = queue.resolve_step
     lane = CohortLane()
-    fifo = _GlobalFifo()
-    profiles = {
-        node: window.price_of(node * run.ppn)[:3]
-        for node in range(run.cluster.n_nodes)
-    }
-    cc = run.costs.chunk_calc
+    counter = _GlobalCounter(run, lane, queue.window)
     macros = 0
 
-    def fetch(state: _Rank, now: float) -> None:
-        latency, processing, remote = profiles[state.node]
-        if latency:
-            state.overhead_time += latency
-            lane.schedule(now + latency, now, _M_GARRIVE, (processing, state))
-        else:
-            _fifo_arrive(lane, fifo, now, (processing, state))
-
     for state in ranks:  # t=0 spawn kick, rank order = scalar seq order
-        fetch(state, 0.0)
+        counter.fetch(state, 0.0)
 
     while len(lane):
         time, _push, _seq, code, payload = lane.pop()
         macros += 1
         if code == _M_GARRIVE:
-            _fifo_arrive(lane, fifo, time, payload)
+            counter.arrive(payload, time)
         elif code == _M_GCOMMIT:
-            processing, state = payload
-            latency, _proc, remote = profiles[state.node]
-            step = _commit_atomic(window, remote, processing, latency)
-            state.overhead_time += processing
-            if latency:
-                state.overhead_time += latency
-            state.overhead_time += cc
-            lane.schedule(
-                time + latency + cc, time + latency, _M_RESOLVE, (step, state)
-            )
-            _fifo_release(lane, fifo, time)
+            counter.commit(payload, time)
         elif code == _M_RESOLVE:
             step, state = payload
             step, start, size = resolve(step)
@@ -381,24 +387,25 @@ def _run_flat(run, queue, ranks: List[_Rank]) -> None:
             run.record_subchunk(step, start, size, pe=state.rank)
             state.n_chunks += 1
             state.n_iters += size
-            fetch(state, time)
+            counter.fetch(state, time)
     run.sim.n_events_processed += macros
 
 
 # ---------------------------------------------------------------------------
-# depth-2 driver: per-node polled queues over the global counter
+# tier driver: polled tier queues, refilled down the tier-group tree
 # ---------------------------------------------------------------------------
 
 
-def _run_depth2(run, queue, local_queues, ranks: List[_Rank]) -> None:
-    """Cohort driver for the paper's two-level mpi+mpi configuration.
+def _run_tiers(run, queue, local_queues, groups, ranks: List[_Rank]) -> None:
+    """Cohort driver for the mpi+mpi tier queues (depths 2-4).
 
     Replays the full protocol of
     :meth:`repro.models.mpi_mpi.MpiMpiModel._take_from` /
     ``_worker_loop`` as macro events: lock polling (fast-forwarded
-    cohorts), critical sections, global refills through the serialised
-    RMA unit, deposits, takes and compute — anchored at the simulated
-    seconds the scalar events would land.  The takes, refills and the
+    cohorts), critical sections, refills up the tier tree, deposits,
+    takes and compute — anchored at the simulated seconds the scalar
+    events would land.  ``local_queues`` holds one queue per group of
+    ``groups`` in tree order, parents first.  The takes, refills and the
     drained flag are the scalar engine's own
     :class:`~repro.core.workqueue.TierQueue` steps.
     """
@@ -407,20 +414,27 @@ def _run_depth2(run, queue, local_queues, ranks: List[_Rank]) -> None:
     ACC3 = 3 * mpi.shm_access
     U = mpi.shm_unlock
     S = mpi.shm_win_sync
-    CC = run.costs.chunk_calc
 
     lane = CohortLane()
-    fifo = _GlobalFifo()
-    locks: Dict[int, _NodeLock] = {}
-    profiles: Dict[int, Tuple[float, float, bool]] = {}
-    for node in range(run.cluster.n_nodes):
-        locks[node] = _NodeLock(node, local_queues[node].shm)
-        profiles[node] = queue.window.price_of(node * run.ppn)[:3]
+    counter = _GlobalCounter(run, lane, queue.window)
+    #: queue key -> its lock and its ancestors' locks, leaf first
+    paths: Dict[Any, Tuple[_TierLock, ...]] = {}
+    for key, lq in local_queues.items():
+        paths[key] = (_TierLock(lq),) + paths.get(lq.group.parent, ())
+    for rank, (key, child) in leaf_slots(groups).items():
+        state = ranks[rank]
+        state.path = paths[key]
+        state.child = child
     live = len(ranks)
 
+    def child_of(state: _Rank) -> int:
+        """Child index in the current queue: leaf slot or refilled queue."""
+        up = state.up
+        return state.path[up - 1].queue.parent_pe if up else state.child
+
     def arrive(state: _Rank, now: float) -> None:
-        """Rank enters ``shm.lock``: join the node's polling cohort."""
-        nl = locks[state.node]
+        """Rank enters ``shm.lock``: join the queue's polling cohort."""
+        nl = state.path[state.up]
         attempt = now + A
         heapq.heappush(nl.heap, (attempt, state))
         if nl.holder is None and (nl.check_time is None or attempt < nl.check_time):
@@ -428,7 +442,7 @@ def _run_depth2(run, queue, local_queues, ranks: List[_Rank]) -> None:
             nl.check_time = attempt
             lane.schedule(attempt, now, _M_CHECK, (nl, nl.version))
 
-    def fast_forward(nl: _NodeLock, released: float) -> None:
+    def fast_forward(nl: _TierLock, released: float) -> None:
         """Release at ``released``: realise the cohort's deferred failed
         attempts (chronological per-window order), then schedule the
         winner check at the first strictly-later attempt."""
@@ -440,7 +454,7 @@ def _run_depth2(run, queue, local_queues, ranks: List[_Rank]) -> None:
         # heapreplace keeps the heap size invariant, so `heap` truthiness
         # is loop-invariant and tested once.
         heap = nl.heap
-        shm = nl.shm
+        shm = nl.queue.shm
         replace = heapq.heapreplace
         next_wait = shm.next_poll_wait
         poll_wait = shm.total_poll_wait
@@ -467,16 +481,6 @@ def _run_depth2(run, queue, local_queues, ranks: List[_Rank]) -> None:
         else:
             nl.check_time = None
 
-    def begin_exec(state: _Rank, sub, now: float) -> None:
-        """Post-unlock tail: win_sync then the chunk's compute span."""
-        nl = locks[state.node]
-        nl.shm.n_syncs += 1
-        state.overhead_time += S
-        _head, sub_start, size, _step = sub
-        duration = run.exec_time(sub_start, size, state.node, state.core)
-        state.compute_time += duration
-        lane.schedule(now + S + duration, now + S, _M_CDONE, (state, sub))
-
     for state in ranks:  # t=0 spawn kick in rank (spawn) order
         arrive(state, 0.0)
 
@@ -491,7 +495,7 @@ def _run_depth2(run, queue, local_queues, ranks: List[_Rank]) -> None:
             _attempt, state = heapq.heappop(nl.heap)
             state.overhead_time += A
             state.attempts += 1
-            nl.shm.record_acquisition(state.attempts)
+            nl.queue.shm.record_acquisition(state.attempts)
             state.attempts = 0
             nl.holder = state
             nl.check_time = None
@@ -499,67 +503,80 @@ def _run_depth2(run, queue, local_queues, ranks: List[_Rank]) -> None:
             lane.schedule(now + ACC3, now, _M_TAKE, state)
         elif code == _M_TAKE:
             state = payload
-            lq = local_queues[state.node]
-            sub = lq.take(state.child)
+            lq = state.path[state.up].queue
+            sub = lq.take(child_of(state))
             if sub is not None:
                 state.overhead_time += U
                 lane.schedule(now + U, now, _M_UNLOCK_TAKEN, (state, sub))
             elif lq.drained:
                 state.overhead_time += U
                 lane.schedule(now + U, now, _M_UNLOCK_EXIT, state)
-            else:  # this rank is currently the fastest: refill
-                latency, processing, _remote = profiles[state.node]
-                if latency:
-                    state.overhead_time += latency
-                    lane.schedule(
-                        now + latency, now, _M_GARRIVE, (processing, state)
-                    )
-                else:
-                    _fifo_arrive(lane, fifo, now, (processing, state))
+            elif lq.parent is not None:  # the fastest rank refills: climb
+                state.up += 1
+                arrive(state, now)
+            else:  # a root-tier queue refills from the global queue
+                counter.fetch(state, now)
         elif code == _M_GARRIVE:
-            _fifo_arrive(lane, fifo, now, payload)
+            counter.arrive(payload, now)
         elif code == _M_GCOMMIT:
-            processing, state = payload
-            latency, _proc, remote = profiles[state.node]
-            step = _commit_atomic(queue.window, remote, processing, latency)
-            state.overhead_time += processing
-            if latency:
-                state.overhead_time += latency
-            state.overhead_time += CC
-            lane.schedule(
-                now + latency + CC, now + latency, _M_RESOLVE, (step, state)
-            )
-            _fifo_release(lane, fifo, now)
+            counter.commit(payload, now)
         elif code == _M_RESOLVE:
             step, state = payload
-            resolved = queue.resolve_step(step)
+            links = ((queue.calc, state.path[state.up].queue.parent_pe),)
             state.overhead_time += ACC3
-            lane.schedule(now + ACC3, now, _M_DEPOSIT, (state, resolved))
-        elif code == _M_DEPOSIT:
-            state, (step, start, size) = payload
-            sub = local_queues[state.node].refill(
-                state.child, step, start, size, ((queue.calc, state.node),)
+            lane.schedule(
+                now + ACC3, now, _M_DEPOSIT,
+                (state, queue.resolve_step(step), links),
             )
+        elif code == _M_DEPOSIT:
+            state, (step, start, size), ancestors = payload
+            lq = state.path[state.up].queue
+            sub = lq.refill(child_of(state), step, start, size, ancestors)
             state.overhead_time += U
             if size > 0:
-                run.record_level_chunk(0, step, start, size, state.node)
+                run.record_level_chunk(lq.level - 1, step, start, size, lq.parent_pe)
+            if sub is not None:
                 lane.schedule(now + U, now, _M_UNLOCK_TAKEN, (state, sub))
             else:
                 lane.schedule(now + U, now, _M_UNLOCK_EMPTY, state)
         elif code == _M_UNLOCK_TAKEN:
             state, sub = payload
-            fast_forward(locks[state.node], now)
-            begin_exec(state, sub, now)
+            up = state.up
+            nl = state.path[up]
+            fast_forward(nl, now)
+            nl.queue.shm.n_syncs += 1
+            state.overhead_time += S
+            head, sub_start, size, step = sub
+            if up:
+                # the parent's sub-chunk refills the child queue: the
+                # parent's win_sync, then the child's 3-access read
+                state.up = up - 1
+                links = ((head.calc, state.path[up - 1].queue.parent_pe),)
+                state.overhead_time += ACC3
+                lane.schedule(
+                    now + S + ACC3, now + S, _M_DEPOSIT,
+                    (state, (step, sub_start, size), links + head.ancestors),
+                )
+            else:  # win_sync then the chunk's compute span
+                duration = run.exec_time(sub_start, size, state.node, state.core)
+                state.compute_time += duration
+                lane.schedule(now + S + duration, now + S, _M_CDONE, (state, sub))
         elif code == _M_UNLOCK_EXIT:
             state = payload
-            fast_forward(locks[state.node], now)
-            state.finish_time = now
-            live -= 1
+            up = state.up
+            fast_forward(state.path[up], now)
+            if up:  # the parent is drained: the child's read finds so
+                state.up = up - 1
+                state.overhead_time += ACC3
+                lane.schedule(now + ACC3, now, _M_DEPOSIT, (state, (-1, 0, 0), ()))
+            else:
+                state.finish_time = now
+                live -= 1
         elif code == _M_UNLOCK_EMPTY:
             state = payload
-            nl = locks[state.node]
+            nl = state.path[state.up]
             fast_forward(nl, now)
-            nl.shm.n_syncs += 1
+            nl.queue.shm.n_syncs += 1
             state.overhead_time += S
             arrive(state, now + S)
         elif code == _M_CDONE:

@@ -11,11 +11,11 @@ that contract three ways:
   ``engine="cohort"`` — the same assertions the scalar engine passes,
   including event counts (these cells carry noise, so they exercise
   the transparent fallback);
-* eligible deterministic cells (NO_NOISE, homogeneous, depth 1-2
-  mpi+mpi and dcc) compare cohort against scalar field by field as hex
-  floats — makespan, chunk/subchunk streams, per-worker accounting,
-  counters — where only ``n_events`` may differ (macro-events replace
-  rank-events);
+* eligible deterministic cells (NO_NOISE, homogeneous; mpi+mpi at
+  depths 1-4, uneven tier groups included, flat-mpi and dcc) compare
+  cohort against scalar field by field as hex floats — makespan,
+  chunk/subchunk streams, per-worker accounting, counters — where only
+  ``n_events`` may differ (macro-events replace rank-events);
 * the ``engine=`` spelling surface: both valid spellings everywhere
   (API, CLI), anything else rejected loudly.
 """
@@ -221,6 +221,22 @@ ELIGIBLE_CELLS = [
     ("dcc/GSS+SS/2x4", "dcc", "GSS+SS", None, lambda: homogeneous(2, 4), 4),
     ("dcc/GSS+FAC2/3x4", "dcc", "GSS+FAC2", None, lambda: homogeneous(3, 4), 4),
     ("dcc/TSS/2x4", "dcc", "TSS", None, lambda: homogeneous(2, 4), 4),
+    ("flat-mpi/GSS+SS/2x4", "flat-mpi", "GSS", "SS", lambda: homogeneous(2, 4), 4),
+    ("flat-mpi/FAC2/3x2", "flat-mpi", "FAC2", None, lambda: homogeneous(3, 2), 2),
+    ("flat-mpi/RND+SS/sock-2x8s2", "flat-mpi", "RND", "SS",
+     lambda: homogeneous(2, 8, sockets_per_node=2), 8),
+    # depth 3-4: the tier driver walks node -> socket -> NUMA queues
+    ("mpi+mpi/GSS+FAC2+SS/sock-2x8s2", "mpi+mpi", "GSS+FAC2+SS", None,
+     lambda: homogeneous(2, 8, sockets_per_node=2), 8),
+    # ppn 6 on 4-core sockets: socket groups of 4 and 2 ranks
+    ("mpi+mpi/GSS+FAC2+SS/sock-3x8s2-ppn6", "mpi+mpi", "GSS+FAC2+SS", None,
+     lambda: homogeneous(3, 8, sockets_per_node=2), 6),
+    ("mpi+mpi/SS+GSS+GSS/sock-2x8s2", "mpi+mpi", "SS+GSS+GSS", None,
+     lambda: homogeneous(2, 8, sockets_per_node=2), 8),
+    ("mpi+mpi/GSS+FAC2+FAC2+SS/numa-2x8s2m2", "mpi+mpi", "GSS+FAC2+FAC2+SS",
+     None, lambda: homogeneous(2, 8, sockets_per_node=2, numa_per_socket=2), 8),
+    ("mpi+mpi/TSS+SS+GSS+SS/numa-1x16s4m2-ppn6", "mpi+mpi", "TSS+SS+GSS+SS",
+     None, lambda: homogeneous(1, 16, sockets_per_node=4, numa_per_socket=2), 6),
 ]
 
 
@@ -252,17 +268,17 @@ def test_eligible_cells_bit_identical_minus_event_count(
 
 def test_eligible_cells_really_take_the_fast_path():
     """Guard against silent fallback: the eligible cells above report no
-    blockers, and a macro-event run processes strictly fewer events."""
+    blockers, and a macro-event run processes strictly fewer events —
+    at depth 2 and at depth 3 alike."""
     wl = _workload()
-    scalar = run_hierarchical(
-        wl, homogeneous(2, 4), inter="GSS", intra="SS", seed=0,
-        noise=NO_NOISE,
-    )
-    cohort = run_hierarchical(
-        wl, homogeneous(2, 4), inter="GSS", intra="SS", seed=0,
-        noise=NO_NOISE, engine="cohort",
-    )
-    assert cohort.n_events < scalar.n_events
+    for cluster, stack, ppn in (
+        (lambda: homogeneous(2, 4), "GSS+SS", 4),
+        (lambda: homogeneous(2, 8, sockets_per_node=2), "GSS+FAC2+SS", 8),
+    ):
+        kwargs = dict(inter=stack, ppn=ppn, seed=0, noise=NO_NOISE)
+        scalar = run_hierarchical(wl, cluster(), **kwargs)
+        cohort = run_hierarchical(wl, cluster(), engine="cohort", **kwargs)
+        assert cohort.n_events < scalar.n_events, stack
 
 
 def test_heterogeneous_and_noisy_cells_fall_back_whole_run():
@@ -347,3 +363,32 @@ def test_cohort_blockers_reports_reasons(monkeypatch):
                      seed=0, engine="cohort")  # default (mild) noise
     assert seen["blockers"], "a noisy cell must report at least one blocker"
     assert any("noise" in reason for reason in seen["blockers"])
+
+
+def test_cohort_blockers_follow_the_model_class(monkeypatch):
+    """Eligibility names no depth and no model string: mpi+mpi at depths
+    3-4 and flat-mpi report no blockers, a model outside the
+    :class:`~repro.models.mpi_mpi.MpiMpiModel` family does."""
+    import repro.sim.cohorts as cohorts
+
+    seen = []
+    original = cohorts.cohort_blockers
+
+    def spy(model, run):
+        seen.append(original(model, run))
+        return seen[-1]
+
+    monkeypatch.setattr(cohorts, "cohort_blockers", spy)
+    wl = uniform_workload(40, low=5e-5, high=2e-3, seed=1)
+    numa = homogeneous(1, 8, sockets_per_node=2, numa_per_socket=2)
+    for approach, stack in (
+        ("mpi+mpi", "GSS+FAC2+SS"),
+        ("mpi+mpi", "GSS+FAC2+FAC2+SS"),
+        ("flat-mpi", "GSS+SS"),
+    ):
+        run_hierarchical(wl, numa, inter=stack, approach=approach, ppn=8,
+                         seed=0, noise=NO_NOISE, engine="cohort")
+        assert seen[-1] == [], (approach, stack)
+    run_hierarchical(wl, numa, inter="GSS", intra="SS", approach="mpi+openmp",
+                     ppn=8, seed=0, noise=NO_NOISE, engine="cohort")
+    assert any("mpi+openmp" in reason for reason in seen[-1])

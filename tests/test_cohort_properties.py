@@ -1,8 +1,9 @@
 """Property-based cohort-vs-scalar equivalence (PR-10).
 
 Hypothesis draws random scheduling stacks (depth 1-4), topologies,
-noise models, seeds and execution models, runs each cell through both
-engines, and asserts the cohort engine's contract:
+noise models, seeds and execution models (mpi+mpi, flat-mpi, dcc),
+runs each cell through both engines, and asserts the cohort engine's
+contract:
 
 * identical chunk sets at every scheduling level (the composed
   schedule is engine-independent);
@@ -12,9 +13,10 @@ engines, and asserts the cohort engine's contract:
   exactly once, whichever engine ran it and wherever cohorts split
   (contention winners vs losers, noise draws, heterogeneous speeds).
 
-Ineligible draws (noise, adaptive techniques, depth > 2, heterogeneous
+Ineligible draws (noise, adaptive or pinned techniques, heterogeneous
 speeds) exercise the transparent fallback, where even the event count
-must match; eligible draws exercise the macro-event fast path.  The
+must match; eligible draws exercise the macro-event fast path at every
+depth.  The
 ``ci`` Hypothesis profile (tests/conftest.py) derandomizes the suite on
 shared runners so a red build always reproduces.
 """
@@ -103,7 +105,7 @@ def assert_conservation(result, n_iterations):
 @st.composite
 def cells(draw):
     """One random cell: approach, stack, cluster, noise, seed."""
-    approach = draw(st.sampled_from(["mpi+mpi", "dcc"]))
+    approach = draw(st.sampled_from(["mpi+mpi", "flat-mpi", "dcc"]))
     roster = DCC_TECHNIQUES if approach == "dcc" else TECHNIQUES
     depth = draw(st.integers(min_value=1, max_value=4))
     stack = "+".join(

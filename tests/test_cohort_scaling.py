@@ -9,7 +9,8 @@ scaling claim behind the cohort engine:
   hard wall-time budget (the scalar engine needs ~4.5 minutes for the
   same cell on the reference machine; see BENCH_PR10.json);
 * the macro-event count stays far below the scalar engine's rank-event
-  count (the aggregation is real, not a relabeling).
+  count (the aggregation is real, not a relabeling), at depth 2 and on
+  a depth-3 socket stack.
 
 The wall budget is deliberately loose (shared CI runners), so this
 test is *blocking on completion, non-blocking on timing trends* —
@@ -60,6 +61,23 @@ def test_macro_events_far_below_scalar_rank_events():
     cell = dict(inter="SS", intra="GSS", seed=0, noise=NO_NOISE,
                 collect_chunks=False)
     cluster = homogeneous(157, 64)  # 10,048 ranks
+    scalar = run_hierarchical(wl, cluster, **cell)
+    cohort = run_hierarchical(wl, cluster, engine="cohort", **cell)
+    assert scalar.parallel_time.hex() == cohort.parallel_time.hex()
+    assert cohort.n_events * 10 < scalar.n_events, (
+        f"expected >=10x event reduction, got scalar={scalar.n_events} "
+        f"cohort={cohort.n_events}"
+    )
+
+
+@pytest.mark.slow
+def test_depth3_macro_events_far_below_scalar_rank_events():
+    """The tier driver condenses a depth-3 (node -> socket) stack at
+    10^4 ranks just as well, with the scalar makespan bit-for-bit."""
+    wl = uniform_workload(4000, low=5e-5, high=2e-3, seed=3)
+    cell = dict(inter="SS+GSS+GSS", seed=0, noise=NO_NOISE,
+                collect_chunks=False)
+    cluster = homogeneous(157, 64, sockets_per_node=2)  # 10,048 ranks
     scalar = run_hierarchical(wl, cluster, **cell)
     cohort = run_hierarchical(wl, cluster, engine="cohort", **cell)
     assert scalar.parallel_time.hex() == cohort.parallel_time.hex()

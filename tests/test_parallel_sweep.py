@@ -224,23 +224,6 @@ def test_sweep_builds_each_cluster_once_per_node_count(workload, tmp_path):
         assert a.same_result(b)
 
 
-def test_cohort_engine_sweep_equals_scalar_sweep(workload):
-    """``engine`` stays out of ``cell_key`` because a sweep cell cannot
-    tell the engines apart: every cell runs under the default
-    ``MILD_NOISE``, which the cohort engine does not condense, so it
-    falls back to the scalar path whole-run — ``n_events`` included."""
-    def run(engine):
-        runner = GridRunner(workload=workload, ppn=4, node_counts=(2, 4),
-                            engine=engine)
-        return runner.sweep("GSS", ("SS", "GSS", "FAC2"), APPROACHES)
-
-    scalar, cohort = run("scalar"), run("cohort")
-    assert len(cohort) == len(scalar) > 2
-    for a, b in zip(scalar, cohort):
-        assert a.same_result(b), f"cohort cell diverged: {a} vs {b}"
-        assert a.n_events == b.n_events
-
-
 def test_cell_cache_len_and_version_guard(workload, tmp_path):
     cache = CellCache(str(tmp_path))
     assert len(cache) == 0
