@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cluster.machine import ClusterSpec
 
@@ -73,15 +73,15 @@ class TierGroup:
 
 
 def tier_groups(
-    paths: Sequence[Sequence[Hashable]], n_tiers: int
+    paths: Iterable[Sequence[Hashable]], n_tiers: int
 ) -> Dict[Hashable, TierGroup]:
     """Every tier group of an ``n_tiers``-deep stack, keyed by group key.
 
-    ``paths[rank]`` lists the rank's group key at each tier, outermost
-    first (keys must differ across tiers).  One pass over the ranks
-    collects members and children in order of first appearance; the
-    result lists groups depth first, each group before its children
-    (node-major order for block placements).
+    ``paths`` yields each rank's group key at each tier, rank by rank,
+    outermost tier first (keys must differ across tiers).  One pass
+    over the ranks collects members and children in order of first
+    appearance; the result lists groups depth first, each group before
+    its children (node-major order for block placements).
     """
     #: key -> (member ranks, child keys), both in order of appearance
     found: Dict[Hashable, Tuple[List[int], List[Hashable]]] = {}
@@ -154,8 +154,10 @@ class Placement:
         groups = cache.get(depth)
         if groups is None:
             if depth == MAX_DEPTH:
+                # paths are generated one rank at a time: a list of
+                # them would be a transient of ~2 MB at 10^4 ranks
                 groups = tier_groups(
-                    [(n, (n, s), (n, s, m)) for n, s, m, _ in self.slots],
+                    ((n, (n, s), (n, s, m)) for n, s, m, _ in self.slots),
                     MAX_DEPTH - 1,
                 )
             else:

@@ -8,7 +8,10 @@ in-flight registry) and one on-disk
 ``POST /sweep`` are newline-delimited JSON written as each cell lands
 (completion order, indices map lines back to the requested grid), with
 ``Connection: close`` framing so any HTTP client can consume the
-stream incrementally.
+stream incrementally.  The handler writes through a buffered stream and
+flushes once per wake-up: the headers and every cell resolved up front
+leave in one socket write, and each later wake-up sends every cell that
+landed since in one more.
 
 Endpoints::
 
@@ -30,11 +33,12 @@ index; cells are sized by node count and ranks per node (``ppn``).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import threading
 import time
-from concurrent.futures import as_completed
+from concurrent.futures import FIRST_COMPLETED, wait
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional
 
@@ -92,6 +96,9 @@ class SweepHandler(BaseHTTPRequestHandler):
     # a Content-Length up front nor chunked encoding — clients read
     # until the server closes the connection.
     protocol_version = "HTTP/1.0"
+    # Buffered replies, flushed once per wake-up: a JSON reply, or each
+    # batch of landed cells, leaves in one socket write.
+    wbufsize = -1
 
     server: SweepServer  # narrowed for type checkers
 
@@ -108,6 +115,7 @@ class SweepHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()  # /shutdown's reply must leave before the server stops
 
     def do_GET(self) -> None:  # noqa: N802 — http.server API
         """Serve ``/healthz`` and ``/metrics``; 404 for any other path."""
@@ -173,38 +181,54 @@ class SweepHandler(BaseHTTPRequestHandler):
         for _future, source in resolved:
             sources[source] += 1
         n_errors = 0
-        for future in as_completed(list(by_future)):
-            for index in by_future[future]:
-                job, (_f, source) = jobs[index], resolved[index]
-                line: Dict[str, Any] = {
-                    "index": index,
-                    "approach": job.approach,
-                    "inter": job.inter,
-                    "intra": job.intra,
-                    "nodes": job.nodes,
-                    "key": job.key,
-                    "source": source,
-                }
-                try:
-                    line["cell"] = future.result().to_dict()
-                except Exception as error:  # simulation failed in the worker
-                    line["error"] = f"{type(error).__name__}: {error}"
-                    n_errors += 1
-                try:
-                    self.wfile.write((json.dumps(line, sort_keys=True) + "\n").encode("utf-8"))
-                    self.wfile.flush()
-                except (BrokenPipeError, ConnectionResetError):
-                    return  # client went away; simulations finish for the cache
-        trailer = {
-            "done": True,
-            "cells": len(jobs),
-            "sources": sources,
-            "errors": n_errors,
-        }
+        pending = set(by_future)
+        landed = {future for future in pending if future.done()}
         try:
+            while True:
+                pending -= landed
+                for future in sorted(landed, key=lambda f: by_future[f][0]):
+                    for index in by_future[future]:
+                        n_errors += self._write_line(future, index, jobs[index],
+                                                     resolved[index][1])
+                if not pending:
+                    break
+                self.wfile.flush()  # one socket write per wake-up
+                landed = wait(pending, return_when=FIRST_COMPLETED).done
+            trailer = {
+                "done": True,
+                "cells": len(jobs),
+                "sources": sources,
+                "errors": n_errors,
+            }
             self.wfile.write((json.dumps(trailer, sort_keys=True) + "\n").encode("utf-8"))
-        except (BrokenPipeError, ConnectionResetError):
-            pass
+            self.wfile.flush()
+        except ConnectionError:
+            # The client went away; its simulations still finish for the
+            # cache.  Drop what the buffer holds: a closed raw stream
+            # keeps the buffered writer from flushing into the dead
+            # socket again, and the stdlib's closing flushes hit a sink.
+            self.wfile.raw.close()
+            self.wfile = io.BytesIO()
+
+    def _write_line(self, future, index: int, job: CellJob, source: str) -> int:
+        """Buffer one landed cell's NDJSON line; 1 if it carries an error."""
+        line: Dict[str, Any] = {
+            "index": index,
+            "approach": job.approach,
+            "inter": job.inter,
+            "intra": job.intra,
+            "nodes": job.nodes,
+            "key": job.key,
+            "source": source,
+        }
+        failed = 0
+        try:
+            line["cell"] = future.result().to_dict()
+        except Exception as error:  # simulation failed in the worker
+            line["error"] = f"{type(error).__name__}: {error}"
+            failed = 1
+        self.wfile.write((json.dumps(line, sort_keys=True) + "\n").encode("utf-8"))
+        return failed
 
 
 def create_server(

@@ -34,7 +34,9 @@ free of the divergence sources the interpreter does not condense:
 * model: any :class:`~repro.models.mpi_mpi.MpiMpiModel` (mpi+mpi at
   any depth, flat-mpi, dCC);
 * techniques: deterministic, non-adaptive, not PE-dependent, not
-  pinned-per-PE, ``min_chunk == 1`` at every level;
+  pinned-per-PE, ``min_chunk == 1`` at every level the model composes
+  (flat-mpi schedules the root level only, so its deeper levels are
+  never checked);
 * noise: no per-core speed scatter and no per-chunk jitter
   (``NO_NOISE``) — per-core homogeneity is what makes ranks symmetric;
 * no active faults, ``placement="leader"``, no trace collection, no
@@ -272,11 +274,14 @@ def cohort_blockers(model, run) -> List[str]:
     from repro.models.mpi_mpi import MpiMpiModel
 
     blockers: List[str] = []
-    if not isinstance(model, MpiMpiModel):
+    levels = run.spec.levels
+    if isinstance(model, MpiMpiModel):
+        levels = levels[: model._levels(run)]  # flat-mpi builds the root only
+    else:
         blockers.append(
             f"model {model.name!r} (fast path covers mpi+mpi, flat-mpi, dcc)"
         )
-    for index, level in enumerate(run.spec.levels):
+    for index, level in enumerate(levels):
         tech = level.technique
         if tech.adaptive or tech.pe_dependent:
             blockers.append(f"adaptive/PE-dependent {tech.name!r} at level {index}")

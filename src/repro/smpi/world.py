@@ -166,12 +166,16 @@ class RankCtx:
         self.socket = world.placement.socket_of(rank)
         self.numa = world.placement.numa_of(rank)
         self.core = world.placement.core_of(rank)
-        self.local_rank = world.placement.local_rank(rank)
         #: owner tag this rank leaves on the locks it holds
         self.owner = f"rank{rank}"
         self.process: Optional[Process] = None
 
     # -- introspection ---------------------------------------------------
+    @property
+    def local_rank(self) -> int:
+        """This rank's position on its node, counting from 0."""
+        return self.world.placement.local_rank(self.rank)
+
     @property
     def size(self) -> int:
         """Number of ranks in the world."""

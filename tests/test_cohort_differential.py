@@ -225,6 +225,15 @@ ELIGIBLE_CELLS = [
     ("flat-mpi/FAC2/3x2", "flat-mpi", "FAC2", None, lambda: homogeneous(3, 2), 2),
     ("flat-mpi/RND+SS/sock-2x8s2", "flat-mpi", "RND", "SS",
      lambda: homogeneous(2, 8, sockets_per_node=2), 8),
+    # flat-mpi schedules the root level only: inner levels that would
+    # block the fast path (adaptive, pinned STATIC) are never built
+    ("flat-mpi/GSS+AWF-B/2x4", "flat-mpi", "GSS", "AWF-B",
+     lambda: homogeneous(2, 4), 4),
+    ("flat-mpi/GSS+STATIC/2x4", "flat-mpi", "GSS", "STATIC",
+     lambda: homogeneous(2, 4), 4),
+    ("flat-mpi/FAC2+AF/3x2", "flat-mpi", "FAC2", "AF", lambda: homogeneous(3, 2), 2),
+    ("flat-mpi/TSS+STATIC+AWF-C/numa-2x8s2m2", "flat-mpi", "TSS+STATIC+AWF-C",
+     None, lambda: homogeneous(2, 8, sockets_per_node=2, numa_per_socket=2), 8),
     # depth 3-4: the tier driver walks node -> socket -> NUMA queues
     ("mpi+mpi/GSS+FAC2+SS/sock-2x8s2", "mpi+mpi", "GSS+FAC2+SS", None,
      lambda: homogeneous(2, 8, sockets_per_node=2), 8),
@@ -392,3 +401,30 @@ def test_cohort_blockers_follow_the_model_class(monkeypatch):
     run_hierarchical(wl, numa, inter="GSS", intra="SS", approach="mpi+openmp",
                      ppn=8, seed=0, noise=NO_NOISE, engine="cohort")
     assert any("mpi+openmp" in reason for reason in seen[-1])
+
+
+def test_flat_mpi_inner_levels_do_not_block_the_fast_path(monkeypatch):
+    """flat-mpi composes the root level only, so an adaptive or pinned
+    level below it reports no blocker and the run condenses; dCC builds
+    every level, so the same stack falls back there."""
+    import repro.sim.cohorts as cohorts
+
+    seen = []
+    original = cohorts.cohort_blockers
+
+    def spy(model, run):
+        seen.append(original(model, run))
+        return seen[-1]
+
+    monkeypatch.setattr(cohorts, "cohort_blockers", spy)
+    wl = _workload()
+    for inter, intra in (("GSS", "AWF-B"), ("GSS", "STATIC"), ("FAC2", "AF")):
+        kwargs = dict(inter=inter, intra=intra, approach="flat-mpi", ppn=4,
+                      seed=0, noise=NO_NOISE)
+        scalar = run_hierarchical(wl, homogeneous(2, 4), **kwargs)
+        cohort = run_hierarchical(wl, homogeneous(2, 4), engine="cohort", **kwargs)
+        assert seen[-1] == [], (inter, intra)
+        assert cohort.n_events < scalar.n_events, (inter, intra)
+    run_hierarchical(wl, homogeneous(2, 4), inter="GSS+STATIC", approach="dcc",
+                     ppn=4, seed=0, noise=NO_NOISE, engine="cohort")
+    assert seen[-1] == ["pinned STATIC at level 1"]

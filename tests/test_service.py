@@ -412,6 +412,134 @@ def test_client_that_disconnects_mid_stream_leaves_cells_cached(server):
     assert len(server.executor.cache) == 8
 
 
+# ---------------------------------------------------------------------------
+# the flush rule: one socket write per wake-up
+# ---------------------------------------------------------------------------
+HELD_SWEEP = dict(TINY_SWEEP, intras=["STATIC", "SS"])  # SS is held
+
+
+def hold_ss_cells(monkeypatch, marker):
+    """Make pool workers wait for ``marker`` before simulating SS cells.
+
+    Patched before the pool's first fork, so every worker inherits it."""
+    from repro.experiments import harness
+
+    real, parent = harness.simulate_cell, os.getpid()
+
+    def held(workload, cluster, approach, inter, intra, nodes, *args, **kwargs):
+        if intra == "SS":
+            if os.getpid() == parent:
+                raise RuntimeError("the held cell ran in the server process")
+            deadline = time.monotonic() + 60
+            while not os.path.exists(marker) and time.monotonic() < deadline:
+                time.sleep(0.01)
+        return real(workload, cluster, approach, inter, intra, nodes, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate_cell", held)
+
+
+def count_server_writes(monkeypatch, srv):
+    """Record every ``send``/``sendall`` on the server's accepted sockets,
+    as a list of flags that are True where the write failed."""
+    import socket
+
+    port = srv.server_address[1]
+    writes = []
+
+    def counted(real):
+        def call(sock, data, *args):
+            if sock.getsockname()[1] != port:
+                return real(sock, data, *args)
+            try:
+                result = real(sock, data, *args)
+            except OSError:
+                writes.append(True)
+                raise
+            writes.append(False)
+            return result
+        return call
+
+    monkeypatch.setattr(socket.socket, "send", counted(socket.socket.send))
+    monkeypatch.setattr(socket.socket, "sendall", counted(socket.socket.sendall))
+    return writes
+
+
+def test_cached_lines_stream_before_a_held_cell(server, monkeypatch, tmp_path):
+    """Buffering never holds back a cell that has landed: the cached
+    line arrives while the other cell is still simulating."""
+    marker = str(tmp_path / "release")
+    hold_ss_cells(monkeypatch, marker)
+    post_sweep(server, dict(TINY_SWEEP, intras=["STATIC"]))  # cache STATIC
+    host, port = server.server_address[:2]
+    request = urllib.request.Request(
+        f"http://{host}:{port}/sweep", data=json.dumps(HELD_SWEEP).encode("utf-8"),
+        headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request, timeout=30) as response:
+        first = json.loads(response.readline())
+        assert (first["intra"], first["source"]) == ("STATIC", "cache")
+        assert not os.path.exists(marker)
+        open(marker, "w").close()
+        held, trailer = [json.loads(line) for line in response]
+    assert (held["intra"], held["source"]) == ("SS", "simulated") and "cell" in held
+    assert trailer["done"] and trailer["cells"] == 2 and trailer["errors"] == 0
+
+
+def test_warm_sweep_leaves_in_one_socket_write(server, monkeypatch):
+    """A fully cached 8-cell sweep is one socket write (headers, eight
+    lines and the trailer), and so is a JSON reply."""
+    payload = dict(CRASH_SWEEP, intras=["STATIC", "SS", "GSS", "FAC2"])  # eight cells
+    post_sweep(server, payload)
+    writes = count_server_writes(monkeypatch, server)
+    lines = post_sweep(server, payload)
+    assert lines[-1]["sources"] == {"cache": 8, "inflight": 0, "simulated": 0}
+    assert writes == [False]
+    writes.clear()
+    assert get_json(server, "/healthz") == {"status": "ok"}
+    assert writes == [False]
+
+
+def test_client_hang_up_costs_one_failed_write(server, monkeypatch, tmp_path):
+    """A client that resets the connection mid-stream costs exactly one
+    failed write: the buffer it leaves is dropped, not flushed again,
+    and the server reports no error."""
+    import socket
+    import struct
+
+    marker = str(tmp_path / "release")
+    hold_ss_cells(monkeypatch, marker)
+    post_sweep(server, dict(TINY_SWEEP, intras=["STATIC"]))  # cache STATIC
+    errors, closed = [], threading.Event()
+    real_shutdown_request = server.shutdown_request
+
+    def shutdown_request(request):
+        real_shutdown_request(request)
+        closed.set()
+
+    monkeypatch.setattr(server, "handle_error",
+                        lambda request, address: errors.append(address))
+    monkeypatch.setattr(server, "shutdown_request", shutdown_request)
+    writes = count_server_writes(monkeypatch, server)
+    body = json.dumps(HELD_SWEEP).encode("utf-8")
+    host, port = server.server_address[:2]
+    with socket.create_connection((host, port), timeout=60) as sock:
+        sock.sendall(
+            b"POST /sweep HTTP/1.0\r\nContent-Type: application/json\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii") + body
+        )
+        with sock.makefile("rb") as reader:
+            while reader.readline() not in (b"\r\n", b""):
+                pass  # status line and headers
+            assert json.loads(reader.readline())["intra"] == "STATIC"
+        # close with a reset, so the server's next write fails at once
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    open(marker, "w").close()
+    assert closed.wait(60), "the handler never finished"
+    assert errors == []
+    assert writes.count(True) == 1, writes
+    assert writes[-1], "a write followed the failed one"
+
+
 def test_main_entry_point_serves_until_shutdown():
     """``repro-serve`` end to end: main() binds, serves, exits cleanly
     on POST /shutdown (the CI quickstart's lifecycle, in process)."""
