@@ -34,7 +34,6 @@ costs (in seconds) live in :mod:`repro.cluster.costs`.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -171,11 +170,6 @@ class Placement:
             cache[depth] = groups
         return groups
 
-    def _members(self, key) -> Tuple[int, ...]:
-        """Sorted ranks of the tier group ``key`` names (empty if none)."""
-        group = self.tier_groups(MAX_DEPTH).get(key)
-        return group.members if group is not None else ()
-
     def node_of(self, rank: int) -> int:
         """Node index hosting ``rank``."""
         return self.slots[rank][0]
@@ -194,37 +188,8 @@ class Placement:
 
     def ranks_on_node(self, node: int) -> List[int]:
         """Ranks bound to one node (the node-level communicator), sorted."""
-        return list(self._members(node))
-
-    def ranks_on_socket(self, node: int, socket: int) -> List[int]:
-        """Ranks bound to one socket (the socket-level communicator)."""
-        return list(self._members((node, socket)))
-
-    def ranks_on_numa(self, node: int, socket: int, numa: int) -> List[int]:
-        """Ranks bound to one NUMA domain (the NUMA-level communicator)."""
-        return list(self._members((node, socket, numa)))
-
-    def sockets_on_node(self, node: int) -> List[int]:
-        """Socket indices of ``node`` that hold at least one rank, sorted."""
         group = self.tier_groups(MAX_DEPTH).get(node)
-        return sorted(key[1] for key in group.children) if group else []
-
-    def numas_on_socket(self, node: int, socket: int) -> List[int]:
-        """NUMA indices of one socket that hold at least one rank, sorted."""
-        group = self.tier_groups(MAX_DEPTH).get((node, socket))
-        return sorted(key[2] for key in group.children) if group else []
-
-    def local_rank(self, rank: int) -> int:
-        """Rank's index among the ranks of its own node (shared-memory comm)."""
-        return bisect_left(self._members(self.slots[rank][0]), rank)
-
-    def socket_rank(self, rank: int) -> int:
-        """Rank's index among the ranks of its own socket."""
-        return bisect_left(self._members(self.slots[rank][:2]), rank)
-
-    def numa_rank(self, rank: int) -> int:
-        """Rank's index among the ranks of its own NUMA domain."""
-        return bisect_left(self._members(self.slots[rank][:3]), rank)
+        return list(group.members) if group is not None else []
 
 
 def block_placement(cluster: ClusterSpec, ppn: int) -> Placement:

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorkerStats:
     """Per-worker accounting extracted from its simulated process."""
 

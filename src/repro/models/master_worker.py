@@ -206,5 +206,5 @@ class MasterWorkerModel(ExecutionModel):
                 n_iterations=iter_counts.get(ctx.rank, 0),
             )
         run.counters["messages"] = sum(
-            box.n_delivered for box in world._mailboxes
+            box.n_delivered for box in world._mailboxes.values()
         )

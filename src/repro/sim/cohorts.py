@@ -331,16 +331,18 @@ def execute_cohort(model, run) -> None:
         model._execute(run)
         return
     world, queue, local_queues, plan = model.setup(run)
-    ranks = [_Rank(ctx.rank, ctx.node, ctx.core) for ctx in world.contexts]
+    # no rank processes run here, so the world builds no rank contexts
+    slots = enumerate(world.placement.slots)
+    ranks = [_Rank(rank, node, core) for rank, (node, _s, _n, core) in slots]
     if local_queues:
         groups = world.placement.tier_groups(model._tiers(run))
         _run_tiers(run, queue, local_queues, groups, ranks)
     else:
         _run_flat(run, queue, ranks)
-    for state, ctx in zip(ranks, world.contexts):
+    for state in ranks:
         run.record_worker(
-            name=ctx.name(),
-            node=ctx.node,
+            name=f"rank{state.rank}(n{state.node}.c{state.core})",
+            node=state.node,
             finish_time=state.finish_time,
             process=state,
             n_chunks=state.n_chunks,

@@ -40,6 +40,7 @@ named ``rank<r>``) and ties in time are broken by scheduling sequence.
 from __future__ import annotations
 
 import heapq
+import mmap
 from collections import deque
 from itertools import chain, count
 from math import inf as _INF
@@ -74,6 +75,11 @@ _COMMAND_KINDS: Dict[type, int] = {
 
 #: values drawn per refill of a buffered stream (see :meth:`Simulator.stream`)
 STREAM_BLOCK = 256
+
+#: address space (bytes) each simulator maps but never touches, and
+#: unmaps as a failure unwinds :meth:`Simulator.run`: out of memory, the
+#: first allocation in a handler on the way out could stall for minutes
+OOM_RESERVE = 4 << 20
 
 #: sentinel returned by ``Simulator._interpret_uncommon`` when the
 #: process blocked (scheduled a future resume) instead of continuing.
@@ -267,6 +273,7 @@ class Simulator:
         self.n_events_processed = 0
         #: callbacks :meth:`close` runs (layers that own per-process state)
         self._closers: List[Callable[[], None]] = []
+        self._reserve = mmap.mmap(-1, OOM_RESERVE)
 
     # ------------------------------------------------------------------
     # public API
@@ -354,6 +361,7 @@ class Simulator:
         streams; the counters (``now``, ``n_events_processed``) stay
         readable.  A closed simulator must not be run again.
         """
+        self._reserve.close()
         closers, self._closers = self._closers, []
         for closer in closers:
             closer()
@@ -622,6 +630,9 @@ class Simulator:
                         break
         except _HaltSignal:
             pass
+        except BaseException:
+            self._reserve.close()  # out of memory: let the unwinding allocate
+            raise
         finally:
             self.n_events_processed += n_done
         return self.now

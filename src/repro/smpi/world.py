@@ -8,9 +8,12 @@ of rank processes.  Rank main functions are generators taking a
 
 Conventions: every time and cost is simulated seconds.  Ranks are
 ``0 .. size - 1`` in placement order; ``RankCtx.node`` is a node index
-into the cluster and ``local_rank`` counts from 0 within the rank's
-node; deeper tier groups come from :meth:`Placement.tier_groups
+into the cluster; tier groups come from :meth:`Placement.tier_groups
 <repro.cluster.topology.Placement.tier_groups>`.
+
+Per-rank state is built on first use: the rank contexts at launch, a
+rank's mailbox at its first send or receive, the world barrier at the
+first ``barrier()`` — so the cohort engine's worlds hold none of it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from typing import (
     Generator,
     List,
     Optional,
-    Tuple,
 )
 
 from repro.cluster.costs import CostModel, DEFAULT_COSTS
@@ -32,7 +34,7 @@ from repro.cluster.machine import ClusterSpec
 from repro.cluster.topology import Placement, block_placement
 from repro.sim.engine import Process, Simulator, drain
 from repro.sim.primitives import Command, Overhead
-from repro.sim.resources import Barrier, Store
+from repro.sim.resources import Barrier
 from repro.smpi.p2p import Mailbox, Message
 from repro.smpi.rma import Window
 from repro.smpi.shm import SharedWindow
@@ -41,6 +43,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.faults import FaultModel
 
 MainFn = Callable[["RankCtx"], Generator[Command, Any, Any]]
+
+
+class _Mailboxes(dict):
+    """rank -> :class:`Mailbox`, built on the rank's first send or receive."""
+
+    def __init__(self, sim: Simulator):
+        super().__init__()
+        self.sim = sim
+
+    def __missing__(self, rank: int) -> Mailbox:
+        box = self[rank] = Mailbox(self.sim, rank)
+        return box
 
 
 class MpiWorld:
@@ -69,13 +83,9 @@ class MpiWorld:
         # mapping: all its queries take *ranks*, never node indices
         self.interconnect = Interconnect(cluster, costs.mpi, self.placement)
         self.size = self.placement.size
-        self._mailboxes: List[Mailbox] = [
-            Mailbox(sim, rank) for rank in range(self.size)
-        ]
-        self._barrier = Barrier(sim, self.size, name="mpi-world-barrier")
-        self.contexts: List[RankCtx] = [
-            RankCtx(self, rank) for rank in range(self.size)
-        ]
+        self._mailboxes = _Mailboxes(sim)
+        self._barrier: Optional[Barrier] = None
+        self._contexts: Optional[List[RankCtx]] = None
         self._shared_windows: Dict[Any, SharedWindow] = {}
         sim.on_close(self.close)
 
@@ -86,9 +96,16 @@ class MpiWorld:
         would otherwise keep the world (and the world them) alive until
         the cyclic collector runs.  Called by :meth:`Simulator.close`.
         """
-        self.contexts = []
-        self._mailboxes = []
+        self._contexts = []
+        self._mailboxes.clear()
         self._shared_windows = {}
+
+    @property
+    def contexts(self) -> List["RankCtx"]:
+        """One :class:`RankCtx` per rank, in rank order (built on first use)."""
+        if self._contexts is None:
+            self._contexts = [RankCtx(self, rank) for rank in range(self.size)]
+        return self._contexts
 
     # ------------------------------------------------------------------
     def launch(self, main: MainFn, name_prefix: str = "rank") -> List[Process]:
@@ -119,8 +136,11 @@ class MpiWorld:
 
     def rank_alive(self, rank: int) -> bool:
         """False only for a crash-stopped rank (a rank that finished
-        normally is not *dead* — it just has no more work)."""
-        process = self.contexts[rank].process
+        normally is not *dead* — it just has no more work).  A world
+        that launched no rank processes has no dead rank."""
+        if self._contexts is None:
+            return True
+        process = self._contexts[rank].process
         return process is None or not process.killed
 
     # ------------------------------------------------------------------
@@ -159,23 +179,17 @@ class RankCtx:
     ``yield from`` inside rank main functions.
     """
 
+    __slots__ = ("world", "rank", "node", "socket", "numa", "core", "owner", "process")
+
     def __init__(self, world: MpiWorld, rank: int):
         self.world = world
         self.rank = rank
-        self.node = world.placement.node_of(rank)
-        self.socket = world.placement.socket_of(rank)
-        self.numa = world.placement.numa_of(rank)
-        self.core = world.placement.core_of(rank)
+        self.node, self.socket, self.numa, self.core = world.placement.slots[rank]
         #: owner tag this rank leaves on the locks it holds
         self.owner = f"rank{rank}"
         self.process: Optional[Process] = None
 
     # -- introspection ---------------------------------------------------
-    @property
-    def local_rank(self) -> int:
-        """This rank's position on its node, counting from 0."""
-        return self.world.placement.local_rank(self.rank)
-
     @property
     def size(self) -> int:
         """Number of ranks in the world."""
@@ -238,4 +252,7 @@ class RankCtx:
 
         stages = math.ceil(math.log2(self.size)) if self.size > 1 else 0
         yield Overhead(self.world.costs.mpi.collective_stage * stages)
-        yield from self.world._barrier.wait()
+        world = self.world
+        if world._barrier is None:
+            world._barrier = Barrier(world.sim, self.size, name="mpi-world-barrier")
+        yield from world._barrier.wait()

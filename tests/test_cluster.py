@@ -198,7 +198,7 @@ def test_block_placement_layout():
     assert placement.node_of(2) == 1
     assert placement.core_of(3) == 1
     assert placement.ranks_on_node(2) == [4, 5]
-    assert placement.local_rank(3) == 1
+    assert placement.tier_groups(2)[1].members.index(3) == 1  # node-local rank
 
 
 def test_block_placement_rejects_oversubscription():

@@ -70,14 +70,15 @@ def test_block_placement_respects_numa_boundaries():
         homogeneous(2, 8, sockets_per_node=2, numa_per_socket=2), ppn=6
     )
     # 6 ranks/node: NUMA (0,0)=[0,1], (0,1)=[2,3], (1,0)=[4,5]
-    assert placement.ranks_on_numa(0, 0, 0) == [0, 1]
-    assert placement.ranks_on_numa(0, 0, 1) == [2, 3]
-    assert placement.ranks_on_numa(0, 1, 0) == [4, 5]
-    assert placement.ranks_on_numa(0, 1, 1) == []
-    assert placement.numas_on_socket(0, 0) == [0, 1]
-    assert placement.numas_on_socket(0, 1) == [0]
+    groups = placement.tier_groups(4)
+    assert groups[(0, 0, 0)].members == (0, 1)
+    assert groups[(0, 0, 1)].members == (2, 3)
+    assert groups[(0, 1, 0)].members == (4, 5)
+    assert (0, 1, 1) not in groups  # an empty NUMA domain has no group
+    assert [key[2] for key in groups[(0, 0)].children] == [0, 1]
+    assert [key[2] for key in groups[(0, 1)].children] == [0]
     assert placement.numa_of(2) == 1
-    assert placement.numa_rank(3) == 1
+    assert groups[placement.slots[3][:3]].members.index(3) == 1
     # consecutive ranks never interleave NUMA domains
     for node in (0, 1):
         paths = [

@@ -51,11 +51,12 @@ def test_cluster_socket_properties_uniform_and_mixed():
 def test_block_placement_respects_socket_boundaries():
     placement = block_placement(homogeneous(2, 8, sockets_per_node=2), ppn=6)
     # 6 ranks per node: 4 fill socket 0 completely, 2 start socket 1
-    assert placement.ranks_on_socket(0, 0) == [0, 1, 2, 3]
-    assert placement.ranks_on_socket(0, 1) == [4, 5]
-    assert placement.sockets_on_node(1) == [0, 1]
+    groups = placement.tier_groups(3)
+    assert groups[(0, 0)].members == (0, 1, 2, 3)
+    assert groups[(0, 1)].members == (4, 5)
+    assert [key[1] for key in groups[1].children] == [0, 1]
     assert placement.socket_of(4) == 1
-    assert placement.socket_rank(5) == 1
+    assert groups[placement.slots[5][:2]].members.index(5) == 1
     # consecutive ranks never interleave sockets
     for node in (0, 1):
         sockets = [placement.socket_of(r) for r in placement.ranks_on_node(node)]

@@ -450,13 +450,15 @@ def count_server_writes(monkeypatch, srv):
         def call(sock, data, *args):
             if sock.getsockname()[1] != port:
                 return real(sock, data, *args)
-            try:
-                result = real(sock, data, *args)
-            except OSError:
-                writes.append(True)
-                raise
+            # recorded before the bytes leave: the client can read the
+            # reply and check the count before this thread runs again
+            index = len(writes)
             writes.append(False)
-            return result
+            try:
+                return real(sock, data, *args)
+            except OSError:
+                writes[index] = True
+                raise
         return call
 
     monkeypatch.setattr(socket.socket, "send", counted(socket.socket.send))

@@ -36,7 +36,8 @@ def test_local_rank_and_node_ranks():
     world = make_world(n_nodes=2, cores=4, ppn=4)
     ctx = world.contexts[5]
     assert ctx.node == 1
-    assert ctx.local_rank == 1
+    # position on its node: its index in the node's tier group
+    assert world.placement.tier_groups(2)[ctx.node].members.index(ctx.rank) == 1
     assert ctx.node_ranks == [4, 5, 6, 7]
     assert not ctx.is_node_leader
     assert world.contexts[4].is_node_leader
